@@ -1,6 +1,6 @@
 # Development targets for the MANET overhead reproduction.
 
-.PHONY: build test vet race check check-full chaos difftest difftest-event bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos
+.PHONY: build test vet race check check-full chaos difftest difftest-event bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos perfbench-test
 
 build:
 	go build ./...
@@ -86,6 +86,12 @@ bench:
 # before timing). It is a correctness smoke, not a timing source.
 bench-smoke:
 	go run -race ./cmd/bench -step-only -step-ticks 120 -n 1000 -tiles 4 -core event -out /tmp/bench-smoke.json
+
+# perfbench-test vets and tests the repository benchmark (perfbench/, a
+# module of its own that the root ./... does not reach), so a change to
+# a package API it calls breaks CI rather than the benchmark run.
+perfbench-test:
+	go -C perfbench vet ./... && go -C perfbench test ./...
 
 # serve-smoke is the daemon's end-to-end gate, race-enabled: build the
 # real manetsimd binary, start it, verify liveness, submit a job,

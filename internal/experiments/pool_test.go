@@ -2,14 +2,16 @@ package experiments
 
 import (
 	"context"
-	"math"
-
 	"errors"
 	"fmt"
-	"repro/internal/checkpoint"
+	"math"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/checkpoint"
 )
 
 func TestRunSweepOrderingAcrossWorkerCounts(t *testing.T) {
@@ -147,6 +149,9 @@ func TestSweepSeedDeterministicAndDistinct(t *testing.T) {
 func TestRunSweepPointSetAndOnRecord(t *testing.T) {
 	ctx := context.Background()
 	shard := map[int]bool{1: true, 3: true}
+	// OnRecord may be called concurrently and in completion order, so
+	// the records are collected under a lock and sorted before comparing.
+	var mu sync.Mutex
 	var recs []string
 	res, err := RunSweepCtx(ctx, SweepOptions{
 		Name:     "s",
@@ -156,7 +161,9 @@ func TestRunSweepPointSetAndOnRecord(t *testing.T) {
 			if !rec.Verify() {
 				t.Errorf("point %d: record CRC invalid", rec.Point)
 			}
+			mu.Lock()
 			recs = append(recs, fmt.Sprintf("%s/%d/%d", rec.Sweep, rec.Point, rec.Seed))
+			mu.Unlock()
 		},
 	}, 5, func(_ context.Context, i int) (int, error) { return 10 * i, nil })
 	if err != nil {
@@ -170,6 +177,7 @@ func TestRunSweepPointSetAndOnRecord(t *testing.T) {
 			t.Errorf("Done[%d] = %v, want %v", i, res.Done[i], want)
 		}
 	}
+	sort.Strings(recs)
 	if got, want := fmt.Sprint(recs), "[s/1/7 s/3/7]"; got != want {
 		t.Errorf("records = %s, want %s", got, want)
 	}

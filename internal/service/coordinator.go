@@ -309,6 +309,7 @@ func (m *Manager) LeaseResult(req ResultRequest) (bool, error) {
 	if added {
 		m.stats.PointsMerged++
 		row.PointsCommitted++
+		d.job.notifyLocked()
 	} else {
 		m.stats.PointsDuplicate++
 	}

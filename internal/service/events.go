@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"repro/internal/checkpoint"
 )
@@ -14,6 +13,12 @@ import (
 // it replays from the first point on every (re)connect and therefore
 // survives coordinator restarts: the journal is fsynced per point and
 // resumed across process lives, which makes it the natural event log.
+//
+// The stream is push-driven, not polled: it re-reads the journal only
+// when the job changes — a point is committed (locally or ingested from
+// a distributed worker), the job changes state, or retention forgets it
+// (Manager.Watch). A job that makes no progress costs its streams
+// nothing.
 //
 // Events are emitted in point order. Points complete out of order (a
 // parallel or distributed sweep finishes whatever lands first), so the
@@ -37,9 +42,6 @@ type JobEvent struct {
 	State  State  `json:"state,omitempty"`
 	Reason string `json:"reason,omitempty"`
 }
-
-// eventsPollInterval paces journal re-reads while a job is running.
-const eventsPollInterval = 25 * time.Millisecond
 
 // events is GET /v1/jobs/{id}/events.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
@@ -76,9 +78,15 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 
 	next := 0 // next point index to emit (gap-holding cursor)
 	path := s.m.JournalPath(fp)
-	ticker := time.NewTicker(eventsPollInterval)
-	defer ticker.Stop()
 	for {
+		// Take the status and the change channel before reading the
+		// journal: a commit that lands after the read has then already
+		// closed the channel, so the wait below cannot miss it.
+		st, changed, ok := s.m.Watch(id)
+		if !ok {
+			emit(JobEvent{Type: "state", State: StateEvicted, Reason: "job no longer tracked"})
+			return
+		}
 		// Decode the journal tolerantly; a missing file (job not yet
 		// started, or finished and cleaned up) is an empty set, not an
 		// error — the terminal state below settles the stream.
@@ -102,11 +110,6 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			next++
-		}
-		st, ok := s.m.Status(id)
-		if !ok {
-			emit(JobEvent{Type: "state", State: StateEvicted, Reason: "job no longer tracked"})
-			return
 		}
 		switch st.State {
 		case StateDone:
@@ -132,7 +135,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-ticker.C:
+		case <-changed:
 		}
 	}
 }

@@ -2,11 +2,20 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/vfs"
 )
 
 // readEvents consumes a /v1/jobs/{id}/events stream to its terminal
@@ -185,5 +194,330 @@ func TestEventsUnknownJob(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job events = %s, want 404", resp.Status)
+	}
+}
+
+// journalGateFS is the real filesystem with a view into the event
+// stream's journal traffic. It counts reads of sweep journals (*.ckpt),
+// can hold the next such read until released, and — when gated — holds
+// every journal append until the test hands it a token: nil lets the
+// append through, an error fails it.
+type journalGateFS struct {
+	vfs.FS
+	reads    atomic.Int64
+	holdRead atomic.Pointer[readHold]
+
+	gated      bool
+	appendHeld chan struct{} // one token per append that reached the gate
+	tokens     chan error
+	openOnce   sync.Once
+}
+
+// readHold parks one journal read: held closes when the read arrives,
+// and the read proceeds once release closes.
+type readHold struct {
+	held, release chan struct{}
+}
+
+func newJournalGateFS(gated bool) *journalGateFS {
+	return &journalGateFS{FS: vfs.OS, gated: gated,
+		appendHeld: make(chan struct{}, 64), tokens: make(chan error, 64)}
+}
+
+func (g *journalGateFS) ReadFile(name string) ([]byte, error) {
+	if strings.HasSuffix(name, ".ckpt") {
+		g.reads.Add(1)
+		if h := g.holdRead.Swap(nil); h != nil {
+			close(h.held)
+			<-h.release
+		}
+	}
+	return g.FS.ReadFile(name)
+}
+
+func (g *journalGateFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || !g.gated || !strings.HasSuffix(name, ".ckpt") {
+		return f, err
+	}
+	return gatedFile{File: f, g: g}, nil
+}
+
+// open lets every current and future append through.
+func (g *journalGateFS) open() { g.openOnce.Do(func() { close(g.tokens) }) }
+
+// awaitAppend blocks until an append is waiting at the gate.
+func (g *journalGateFS) awaitAppend(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.appendHeld:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no journal append reached the gate")
+	}
+}
+
+// awaitReads blocks until the journal has been read at least n times.
+func (g *journalGateFS) awaitReads(t *testing.T, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for g.reads.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("journal read %d times, want at least %d", g.reads.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+type gatedFile struct {
+	vfs.File
+	g *journalGateFS
+}
+
+func (f gatedFile) Write(p []byte) (int, error) {
+	f.g.appendHeld <- struct{}{}
+	if err := <-f.g.tokens; err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+// startGated opens a daemon over g and registers its teardown; the gate
+// opens first, so no failure path can strand a job at it.
+func startGated(t *testing.T, cfg Config, g *journalGateFS) (*Manager, *httptest.Server) {
+	t.Helper()
+	cfg.FS = g
+	m, srv := startCoordinator(t, cfg)
+	t.Cleanup(func() { _ = m.Close() })
+	t.Cleanup(srv.Close)
+	t.Cleanup(g.open)
+	return m, srv
+}
+
+// openEvents starts a job's event stream and delivers its decoded
+// events on the returned channel, which closes when the stream ends.
+// The request runs in the background: the server sends its headers
+// with the first event, and the caller may need to act before that.
+func openEvents(t *testing.T, url, id string) <-chan JobEvent {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan JobEvent, 64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer close(ch)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			if ctx.Err() == nil {
+				t.Errorf("events stream: %v", err)
+			}
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("events stream answered %s", resp.Status)
+			return
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			var e JobEvent
+			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+				t.Errorf("bad event line %q: %v", sc.Text(), err)
+				return
+			}
+			ch <- e
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return ch
+}
+
+// nextEvent returns the stream's next event, failing the test if the
+// stream ends or stalls first.
+func nextEvent(t *testing.T, events <-chan JobEvent) JobEvent {
+	t.Helper()
+	select {
+	case e, ok := <-events:
+		if !ok {
+			t.Fatal("event stream ended early")
+		}
+		return e
+	case <-time.After(30 * time.Second):
+		t.Fatal("event stream stalled")
+	}
+	return JobEvent{}
+}
+
+// wantState asserts the stream's next event is the terminal state.
+func wantState(t *testing.T, events <-chan JobEvent, state State, reason string) {
+	t.Helper()
+	e := nextEvent(t, events)
+	if e.Type != "state" || e.State != state || (reason != "" && e.Reason != reason) {
+		t.Fatalf("event = %+v, want state %q (%q)", e, state, reason)
+	}
+}
+
+// TestEventsWakeOnLocalCommit holds a local job's journal appends at a
+// gate: the stream must emit point 0 once its append commits, while the
+// job is still running with point 1 held — no state change wakes it,
+// only the commit.
+func TestEventsWakeOnLocalCommit(t *testing.T) {
+	g := newJournalGateFS(true)
+	m, srv := startGated(t, testConfig(t), g)
+	// Eight points in about 10 ms, every one of them journaled.
+	spec := JobSpec{Kind: KindFigure, Tenant: "ivan", Fig: 2, Seed: 41, Events: 300}.Normalized()
+	plan, err := spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mustSubmit(t, m, spec)
+
+	g.awaitAppend(t) // point 0 is computed; its append is held
+	reads := g.reads.Load()
+	events := openEvents(t, srv.URL, st.ID)
+	g.awaitReads(t, reads+1) // the stream has seen an empty journal
+	g.tokens <- nil
+	if e := nextEvent(t, events); e.Type != "point" || e.Point != 0 {
+		t.Fatalf("first event = %+v, want point 0", e)
+	}
+	g.awaitAppend(t) // point 1 held: the job cannot have changed state
+	if cur, _ := m.Status(st.ID); cur.State != StateRunning {
+		t.Fatalf("job is %s, want running", cur.State)
+	}
+
+	g.open()
+	for p := 1; p < plan.Points; p++ {
+		if e := nextEvent(t, events); e.Type != "point" || e.Point != p {
+			t.Fatalf("event = %+v, want point %d", e, p)
+		}
+	}
+	wantState(t, events, StateDone, "")
+}
+
+// TestEventsWakeOnFailure fails a held journal append: the job fails
+// and the waiting stream ends on the failed state.
+func TestEventsWakeOnFailure(t *testing.T) {
+	g := newJournalGateFS(true)
+	m, srv := startGated(t, testConfig(t), g)
+	st := mustSubmit(t, m, testMeasureSpec("judy", 43))
+
+	g.awaitAppend(t)
+	reads := g.reads.Load()
+	events := openEvents(t, srv.URL, st.ID)
+	g.awaitReads(t, reads+1)
+	g.tokens <- errors.New("injected append failure")
+	wantState(t, events, StateFailed, "")
+}
+
+// TestEventsWakeOnDrainEviction drains a daemon with a queued job (no
+// worker pool, so it stays queued): the stream ends on the eviction.
+func TestEventsWakeOnDrainEviction(t *testing.T) {
+	g := newJournalGateFS(false)
+	cfg := testConfig(t)
+	cfg.FS = g
+	m, err := open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	srv := httptest.NewServer(NewServer(m, 0).Handler())
+	t.Cleanup(srv.Close)
+	st := mustSubmit(t, m, testMeasureSpec("karl", 47))
+
+	events := openEvents(t, srv.URL, st.ID)
+	g.awaitReads(t, 1)
+	m.Drain(context.Background())
+	wantState(t, events, StateEvicted, "draining: re-queued on next start")
+}
+
+// TestEventsStreamIdleUntilIngest is the no-poll contract: while a
+// distributed job makes no progress the stream does not re-read its
+// journal; an ingested point wakes it to emit that point; Close ends it
+// on the eviction.
+func TestEventsStreamIdleUntilIngest(t *testing.T) {
+	g := newJournalGateFS(false)
+	m, srv := startGated(t, distConfig(t), g)
+	st := mustSubmit(t, m, testFigureSpec("lena", 53))
+	lease := claimLease(t, m, "w1") // the coordinator has opened the journal
+
+	reads := g.reads.Load()
+	events := openEvents(t, srv.URL, st.ID)
+	g.awaitReads(t, reads+1)
+	reads = g.reads.Load()
+	time.Sleep(200 * time.Millisecond)
+	if n := g.reads.Load() - reads; n != 0 {
+		t.Fatalf("stream re-read the journal %d times while the job made no progress", n)
+	}
+
+	rec := checkpoint.NewRecord(lease.Sweep, lease.Points[0], lease.Spec.Seed, json.RawMessage(`{}`))
+	if _, err := m.LeaseResult(ResultRequest{Worker: "w1", Fingerprint: lease.Fingerprint, Record: rec}); err != nil {
+		t.Fatalf("LeaseResult: %v", err)
+	}
+	if e := nextEvent(t, events); e.Type != "point" || e.Point != lease.Points[0] {
+		t.Fatalf("event = %+v, want point %d", e, lease.Points[0])
+	}
+
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantState(t, events, StateEvicted, "shutdown: checkpointed for restart")
+}
+
+// TestEventsStreamEndsOnRetentionEviction parks the stream inside its
+// journal read, holding a "running" snapshot, while the job finishes and
+// retention forgets it. The change channel the stream took with that
+// snapshot is already closed, so the stream cannot sleep through it: it
+// wakes and ends with "job no longer tracked".
+func TestEventsStreamEndsOnRetentionEviction(t *testing.T) {
+	g := newJournalGateFS(true)
+	cfg := testConfig(t)
+	cfg.RetainJobs = 1
+	m, srv := startGated(t, cfg, g)
+	st := mustSubmit(t, m, testMeasureSpec("mona", 59))
+
+	g.awaitAppend(t)
+	hold := &readHold{held: make(chan struct{}), release: make(chan struct{})}
+	g.holdRead.Store(hold)
+	events := openEvents(t, srv.URL, st.ID)
+	select {
+	case <-hold.held:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stream never read the journal")
+	}
+
+	g.open()
+	if fin := waitTerminal(t, m, st.ID); fin.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", fin.State, fin.Reason)
+	}
+	_, forgotten, ok := m.Watch(st.ID)
+	if !ok {
+		t.Fatal("done job forgotten before retention ran")
+	}
+	mustSubmit(t, m, testMeasureSpec("mona", 61)) // over RetainJobs: forgets the done job
+	select {
+	case <-forgotten:
+	default:
+		t.Fatal("retention forgot the job without waking its watchers")
+	}
+	if _, _, ok := m.Watch(st.ID); ok {
+		t.Fatal("job still tracked after retention")
+	}
+
+	close(hold.release)
+	for {
+		e := nextEvent(t, events)
+		if e.Type == "point" {
+			continue // the journal may outlive the job's done transition
+		}
+		if e.Type != "state" || e.State != StateEvicted || e.Reason != "job no longer tracked" {
+			t.Fatalf("event = %+v, want the untracked-job eviction", e)
+		}
+		return
 	}
 }

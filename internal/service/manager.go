@@ -59,6 +59,20 @@ type job struct {
 	cached      bool
 	transitions []Transition
 	resultPath  string
+	// changed is closed on the job's next observable change (a state
+	// transition, a committed sweep point, or being forgotten by
+	// retention); event streams wait on it. It is made on demand by
+	// Watch, so a job nobody watches never allocates one.
+	changed chan struct{}
+}
+
+// notifyLocked wakes every event stream waiting on the job; callers
+// hold m.mu. The next Watch makes a fresh channel.
+func (j *job) notifyLocked() {
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // Unavailable is the transient-rejection error of Submit: the request
@@ -642,6 +656,7 @@ func (m *Manager) retainLocked() {
 			}
 			if j.state == StateDone || j.state == StateFailed {
 				delete(m.jobs, id)
+				j.notifyLocked()
 				if m.doneByFP[j.fingerprint] == id {
 					delete(m.doneByFP, j.fingerprint)
 				}
@@ -661,6 +676,7 @@ func (m *Manager) transitionLocked(j *job, to State, reason string) {
 	j.transitions = append(j.transitions, Transition{From: j.state, To: to, Reason: reason, At: m.cfg.Clock()})
 	j.state = to
 	j.reason = reason
+	j.notifyLocked()
 }
 
 // snapshot renders a job's client-visible status; callers hold m.mu.
@@ -682,6 +698,23 @@ func (m *Manager) Status(id string) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	return m.snapshot(j), true
+}
+
+// Watch returns a job's status snapshot together with a channel that is
+// closed on the job's next observable change. Both are taken under one
+// lock, so a change that lands after the snapshot is never missed: the
+// caller reads whatever the snapshot implies, then waits on the channel.
+func (m *Manager) Watch(id string) (JobStatus, <-chan struct{}, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	if !ok {
+		return JobStatus{}, nil, false
+	}
+	if j.changed == nil {
+		j.changed = make(chan struct{})
+	}
+	return m.snapshot(j), j.changed, true
 }
 
 // Result returns a done job's artifact bytes.
@@ -836,7 +869,16 @@ func (m *Manager) runJob(j *job) {
 	var data []byte
 	jr, err := checkpoint.OpenFS(m.fs, m.journalPath(j.fingerprint), j.fingerprint)
 	if err == nil {
-		base := experiments.Options{Workers: m.cfg.SweepWorkers, Ctx: ctx, Journal: jr}
+		base := experiments.Options{Workers: m.cfg.SweepWorkers, Ctx: ctx, Journal: jr,
+			// Progress settles after the point's journal append returns:
+			// wake the job's event streams to re-read the journal.
+			OnProgress: func(p experiments.Progress) {
+				if p.Err == nil && !p.Cached {
+					m.mu.Lock()
+					j.notifyLocked()
+					m.mu.Unlock()
+				}
+			}}
 		data, err = j.spec.Run(base)
 		if cerr := jr.Close(); err == nil {
 			err = cerr

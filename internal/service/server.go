@@ -55,14 +55,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError renders the error envelope.
-func writeError(w http.ResponseWriter, code int, reason, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		// Retry-After is whole seconds; round up so clients never retry
-		// before the hint.
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
+// setRetryAfter sets the Retry-After header when the hint is positive.
+// The header is whole seconds; round up so clients never retry before
+// the hint.
+func setRetryAfter(w http.ResponseWriter, d time.Duration) {
+	if d > 0 {
+		secs := int64((d + time.Second - 1) / time.Second)
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
+}
+
+// writeError renders the error envelope.
+func writeError(w http.ResponseWriter, code int, reason, msg string, retryAfter time.Duration) {
+	setRetryAfter(w, retryAfter)
 	writeJSON(w, code, errorBody{Error: msg, Reason: reason, RetryAfterMS: retryAfter.Milliseconds()})
 }
 
@@ -152,10 +157,7 @@ func (s *Server) leaseClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if lease == nil {
-		if retry > 0 {
-			secs := int64((retry + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		}
+		setRetryAfter(w, retry)
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}

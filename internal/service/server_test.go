@@ -257,3 +257,26 @@ func TestServerMethodRouting(t *testing.T) {
 		t.Fatalf("DELETE on GET route: %d", resp2.StatusCode)
 	}
 }
+
+// TestRetryAfterRoundsUp pins the Retry-After header shared by error
+// responses and empty lease claims: whole seconds, rounded up, and
+// absent for a non-positive hint.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, ""},
+		{-time.Second, ""},
+		{time.Nanosecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{30 * time.Second, "30"},
+	} {
+		w := httptest.NewRecorder()
+		setRetryAfter(w, c.d)
+		if got := w.Header().Get("Retry-After"); got != c.want {
+			t.Errorf("Retry-After for %v = %q, want %q", c.d, got, c.want)
+		}
+	}
+}

@@ -266,7 +266,8 @@ func (s JobSpec) Plan() (experiments.SweepPlan, error) {
 
 // options assembles the experiment options of one job run. The caller
 // supplies orchestration state (context, journal, workers, point
-// sharding); the spec supplies everything scenario-shaped.
+// sharding, progress and record sinks); the spec supplies everything
+// scenario-shaped.
 func (s JobSpec) options(base experiments.Options) (experiments.Options, error) {
 	opts := experiments.DefaultOptions()
 	opts.Seed = s.Seed
@@ -276,6 +277,7 @@ func (s JobSpec) options(base experiments.Options) (experiments.Options, error) 
 	opts.Journal = base.Journal
 	opts.PointFilter = base.PointFilter
 	opts.OnRecord = base.OnRecord
+	opts.OnProgress = base.OnProgress
 	if s.Kind != KindMeasure {
 		return opts, nil
 	}
