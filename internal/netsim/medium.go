@@ -75,6 +75,9 @@ type Medium interface {
 	// current tick (a partition artifact). The engine consults it during
 	// topology recomputation for every in-range pair, so it must be
 	// cheap; media without partitions return false unconditionally.
+	// Cut must be symmetric (Cut(a, b) == Cut(b, a)): the engine builds
+	// each endpoint's row separately, and Env.IsNeighbor promises a
+	// symmetric adjacency.
 	Cut(a, b NodeID) bool
 	// Deliver decides the fate of one point delivery from→to. seq is the
 	// run-global delivery attempt counter (strictly increasing), so

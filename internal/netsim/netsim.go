@@ -169,6 +169,9 @@ type Env interface {
 	// be mutated or retained across ticks.
 	Neighbors(id NodeID) []NodeID
 	// IsNeighbor reports whether a and b currently share a link.
+	// Adjacency is symmetric: IsNeighbor(a, b) == IsNeighbor(b, a) on
+	// every tick, so callers may ask from whichever endpoint whose row
+	// is cheaper to search (the sender's, on the delivery path).
 	IsNeighbor(a, b NodeID) bool
 	// Degree returns the current neighbor count of id.
 	Degree(id NodeID) int

@@ -12,9 +12,14 @@ package netsim
 // within one class. Sequence number 0 means "unsequenced" and is always
 // accepted, so legacy emitters keep working; stamping protocols start
 // their counters at 1.
+//
+// The state is sender-major: seen[from*n+rcv]. The engine delivers one
+// broadcast to the sender's neighbors in ascending id order, so that
+// broadcast's Fresh calls walk one contiguous row instead of striding n
+// entries per delivery. The layout changes no verdict.
 type SeqFilter struct {
 	n    int
-	seen []uint32 // seen[rcv*n+from] = highest accepted seq
+	seen []uint32 // seen[from*n+rcv] = highest seq rcv accepted from from
 }
 
 // NewSeqFilter builds a filter for an n-node network.
@@ -30,7 +35,7 @@ func (f *SeqFilter) Fresh(rcv, from NodeID, seq uint32) bool {
 	if seq == 0 {
 		return true
 	}
-	idx := int(rcv)*f.n + int(from)
+	idx := int(from)*f.n + int(rcv)
 	if seq <= f.seen[idx] {
 		return false
 	}
@@ -59,10 +64,11 @@ const DedupWindowBits = 64
 // advances the window head exactly like SeqFilter, so hardened
 // protocols behave byte-for-byte identically there whichever filter
 // they use. Sequence number 0 means "unsequenced" and is always
-// accepted.
+// accepted. Like SeqFilter, the state is sender-major (indexed
+// from*n+rcv), so one broadcast's deliveries touch one contiguous row.
 type DedupWindow struct {
 	n    int
-	seen []uint32 // seen[rcv*n+from] = highest seq observed
+	seen []uint32 // seen[from*n+rcv] = highest seq rcv observed from from
 	mask []uint64 // bit d set ⇔ seq (seen − d) arrived
 }
 
@@ -78,7 +84,7 @@ func (f *DedupWindow) Fresh(rcv, from NodeID, seq uint32) bool {
 	if seq == 0 {
 		return true
 	}
-	idx := int(rcv)*f.n + int(from)
+	idx := int(from)*f.n + int(rcv)
 	head := f.seen[idx]
 	switch {
 	case seq > head:

@@ -183,7 +183,9 @@ func (dv *IntraDV) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if !dv.filter.Fresh(rcv, msg.From, msg.Seq) {
 		return
 	}
-	if !dv.env.IsNeighbor(rcv, msg.From) {
+	// Asked from the sender's side (adjacency is symmetric): the engine's
+	// delivery loop is walking that row.
+	if !dv.env.IsNeighbor(msg.From, rcv) {
 		return
 	}
 	if dv.cl.HeadOf(rcv) != ad.Cluster || dv.cl.HeadOf(msg.From) != ad.Cluster {

@@ -9,6 +9,7 @@ package routing
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/netsim"
 )
@@ -38,8 +39,12 @@ type Hello struct {
 
 	env      netsim.Env
 	lastSent float64
-	// heard[a][b] is the time node a last heard node b's beacon.
-	heard []map[netsim.NodeID]float64
+	// heard[b] lists every node a whose table holds b, with the time a
+	// last heard b's beacon. The tables are stored sender-major so the
+	// deliveries of one beacon update one row.
+	heard []heardRow
+	// tableSize[a] is node a's table size: the number of rows holding a.
+	tableSize []int32
 	// seqOut[a] is node a's beacon sequence counter; filter rejects
 	// stale and duplicated beacons under delaying/reordering media.
 	seqOut []uint32
@@ -77,10 +82,14 @@ func (h *Hello) Name() string { return "hello" }
 // steady-state measurements (experiments snapshot tallies after warmup).
 func (h *Hello) Start(env netsim.Env) error {
 	h.env = env
-	h.heard = make([]map[netsim.NodeID]float64, env.NumNodes())
+	h.heard = make([]heardRow, env.NumNodes())
 	for i := range h.heard {
-		h.heard[i] = make(map[netsim.NodeID]float64)
+		// Headroom over the initial degree keeps the steady-state tick
+		// loop allocation-free while degrees drift.
+		capc := env.Degree(netsim.NodeID(i))*3/2 + 8
+		h.heard[i] = heardRow{rcv: make([]netsim.NodeID, 0, capc), at: make([]float64, 0, capc)}
 	}
+	h.tableSize = make([]int32, env.NumNodes())
 	h.seqOut = make([]uint32, env.NumNodes())
 	h.filter = netsim.NewSeqFilter(env.NumNodes())
 	for i := 0; i < env.NumNodes(); i++ {
@@ -101,8 +110,8 @@ func (h *Hello) OnLinkEvent(ev netsim.LinkEvent) {
 		h.beacon(ev.B, ev.Border)
 	} else {
 		// Soft timer: drop silently on both sides.
-		delete(h.heard[ev.A], ev.B)
-		delete(h.heard[ev.B], ev.A)
+		h.forget(ev.A, ev.B)
+		h.forget(ev.B, ev.A)
 	}
 }
 
@@ -114,6 +123,8 @@ func (h *Hello) OnLinkEvent(ev netsim.LinkEvent) {
 // must not resurrect an entry the soft timer already dropped. On the
 // ideal medium both guards never fire: same-tick delivery implies the
 // sender is a current neighbor and beacons arrive in sequence order.
+// The neighbor check searches the sender's adjacency row (adjacency is
+// symmetric), which the engine's delivery loop is already walking.
 func (h *Hello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if msg.Kind != netsim.MsgHello {
 		return
@@ -121,10 +132,18 @@ func (h *Hello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	if !h.filter.Fresh(rcv, msg.From, msg.Seq) {
 		return
 	}
-	if !h.env.IsNeighbor(rcv, msg.From) {
+	if !h.env.IsNeighbor(msg.From, rcv) {
 		return
 	}
-	h.heard[rcv][msg.From] = h.env.Now()
+	row := &h.heard[msg.From]
+	i, ok := netsim.FindID(row.rcv, rcv)
+	if ok {
+		row.at[i] = h.env.Now()
+		return
+	}
+	row.rcv = slices.Insert(row.rcv, i, rcv)
+	row.at = slices.Insert(row.at, i, h.env.Now())
+	h.tableSize[rcv]++
 }
 
 // OnTick implements netsim.Protocol: periodic beaconing and soft-timer
@@ -139,12 +158,18 @@ func (h *Hello) OnTick(now float64) {
 			h.beacon(netsim.NodeID(i), false)
 		}
 	}
-	for _, tbl := range h.heard {
-		for nb, t := range tbl {
+	for b := range h.heard {
+		row := &h.heard[b]
+		k := 0
+		for i, t := range row.at {
 			if now-t > h.timeout {
-				delete(tbl, nb)
+				h.tableSize[row.rcv[i]]--
+				continue
 			}
+			row.rcv[k], row.at[k] = row.rcv[i], t
+			k++
 		}
+		row.rcv, row.at = row.rcv[:k], row.at[:k]
 	}
 }
 
@@ -159,8 +184,8 @@ func (h *Hello) NextWake(float64) float64 {
 		return math.Inf(1)
 	}
 	next := h.lastSent + h.interval
-	for _, tbl := range h.heard {
-		for _, t := range tbl {
+	for _, row := range h.heard {
+		for _, t := range row.at {
 			if e := t + h.timeout; e < next {
 				next = e
 			}
@@ -181,12 +206,31 @@ func (h *Hello) beacon(from netsim.NodeID, border bool) {
 	})
 }
 
+// forget drops sender b from receiver a's table, if present.
+func (h *Hello) forget(a, b netsim.NodeID) {
+	row := &h.heard[b]
+	i, ok := netsim.FindID(row.rcv, a)
+	if !ok {
+		return
+	}
+	row.rcv = slices.Delete(row.rcv, i, i+1)
+	row.at = slices.Delete(row.at, i, i+1)
+	h.tableSize[a]--
+}
+
 // Knows reports whether node a currently has node b in its neighbor
 // table.
 func (h *Hello) Knows(a, b netsim.NodeID) bool {
-	_, ok := h.heard[a][b]
+	_, ok := netsim.FindID(h.heard[b].rcv, a)
 	return ok
 }
 
 // TableSize returns the current neighbor-table size of a node.
-func (h *Hello) TableSize(id netsim.NodeID) int { return len(h.heard[id]) }
+func (h *Hello) TableSize(id netsim.NodeID) int { return int(h.tableSize[id]) }
+
+// heardRow is one sender's column of the HELLO tables: the receivers
+// holding the sender, ascending, with the time each last heard it.
+type heardRow struct {
+	rcv []netsim.NodeID
+	at  []float64
+}

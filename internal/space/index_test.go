@@ -239,3 +239,45 @@ func TestIndexStationaryZeroRequeries(t *testing.T) {
 		t.Errorf("stationary run accumulated requeries: %d → %d", base, got)
 	}
 }
+
+// TestSortRowMatchesSort checks every sortRow path — insertion sort for
+// short rows, the bitmap for long rows of narrow id span (up to the
+// exact sortSpanWords boundary) and slices.Sort beyond it — against
+// slices.Sort on shuffled sets of distinct ids.
+func TestSortRowMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const maxSpan = sortSpanWords * 64
+	for _, tc := range []struct{ d, span, base int }{
+		{0, 1, 0}, {1, 1, 5}, {sortCutoff, 40, 0}, {sortCutoff + 1, 40, 3},
+		{113, 400, 0}, {113, 400, 63}, {113, 400, 64}, {64, 64, 128},
+		{200, maxSpan, 7}, {200, maxSpan + 1, 7}, {150, 100000, 1},
+	} {
+		for rep := 0; rep < 20; rep++ {
+			ids := rng.Perm(tc.span)[:tc.d]
+			if tc.d >= 2 {
+				// Pin both ends so the span is exactly tc.span.
+				ids[0], ids[1] = 0, tc.span-1
+				seen := map[int]bool{}
+				uniq := ids[:0]
+				for _, v := range ids {
+					if !seen[v] {
+						seen[v] = true
+						uniq = append(uniq, v)
+					}
+				}
+				ids = uniq
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			got := make([]int32, len(ids))
+			for k, v := range ids {
+				got[k] = int32(tc.base + v)
+			}
+			want := slices.Clone(got)
+			slices.Sort(want)
+			sortRow(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("d=%d span=%d base=%d: sortRow = %v, want %v", tc.d, tc.span, tc.base, got, want)
+			}
+		}
+	}
+}
