@@ -104,9 +104,13 @@ func (m Metric) Contains(p Vec2) bool {
 }
 
 // wrapDelta maps a coordinate difference to the shortest wrapped
-// equivalent in [-side/2, side/2].
+// equivalent in [-side/2, side/2]. The difference of two wrapped
+// coordinates is below side in magnitude, where math.Mod would return it
+// unchanged, so the costly call is made only beyond that.
 func wrapDelta(d, side float64) float64 {
-	d = math.Mod(d, side)
+	if d >= side || d <= -side {
+		d = math.Mod(d, side)
+	}
 	switch {
 	case d > side/2:
 		d -= side

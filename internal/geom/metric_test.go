@@ -172,3 +172,38 @@ func TestPropertyWrapIdempotent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWrapDeltaMatchesMod pins wrapDelta's shortcut: skipping math.Mod
+// for differences below side in magnitude must give bit-identical
+// results to always calling it, across random in-range and out-of-range
+// differences, the ±side/2 and ±side boundaries, and non-finite inputs.
+func TestWrapDeltaMatchesMod(t *testing.T) {
+	ref := func(d, side float64) float64 {
+		d = math.Mod(d, side)
+		switch {
+		case d > side/2:
+			d -= side
+		case d < -side/2:
+			d += side
+		}
+		return d
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, side := range []float64{1, 7.3, 10, 1e-3} {
+		cases := []float64{0, side / 2, -side / 2, side, -side,
+			math.Nextafter(side, 0), -math.Nextafter(side, 0), math.Nextafter(side, 2*side),
+			math.Inf(1), math.Inf(-1), math.NaN()}
+		for k := 0; k < 2000; k++ {
+			p, q := rng.Float64()*side, rng.Float64()*side
+			cases = append(cases, p-q, (rng.Float64()-0.5)*6*side)
+		}
+		for _, d := range cases {
+			if got, want := wrapDelta(d, side), ref(d, side); !same(got, want) {
+				t.Fatalf("side %g: wrapDelta(%g) = %g, math.Mod form gives %g", side, d, got, want)
+			}
+		}
+	}
+}

@@ -99,6 +99,11 @@ type Sim struct {
 	// stepBroadcasts counts accepted broadcasts within the current phase;
 	// StepControlled resets it and folds it into StepReport.Active.
 	stepBroadcasts int
+	// inFrom→inTo is the delivery drainQueue is making from the sender's
+	// current row, so the pair is a link by construction and IsNeighbor
+	// answers it without a search. −1 when no such delivery is running:
+	// a delayed delivery must search the adjacency as it is now.
+	inFrom, inTo NodeID
 }
 
 var _ Env = (*Sim)(nil)
@@ -145,6 +150,8 @@ func New(cfg Config) (*Sim, error) {
 		changed:  make([]bool, cfg.N),
 		arenas:   make([][]int32, tiles),
 		tiles:    tiles,
+		inFrom:   -1,
+		inTo:     -1,
 	}
 	s.filt.s = s
 	if s.medium != nil {
@@ -374,9 +381,13 @@ func (s *Sim) Neighbors(id NodeID) []NodeID { return s.adj.row(id) }
 func (s *Sim) Degree(id NodeID) int { return int(s.adj.off[id+1] - s.adj.off[id]) }
 
 // IsNeighbor implements Env with a binary search of a's row. Callers
-// on the delivery path pass the sender as a: the drain loop is walking
-// that row, so the search stays in cache.
+// on the delivery path pass the sender as a: the pair drainQueue is
+// delivering answers without a search, and any other pair searches a
+// row the drain loop already has in cache.
 func (s *Sim) IsNeighbor(a, b NodeID) bool {
+	if a == s.inFrom && b == s.inTo {
+		return true
+	}
 	_, ok := FindID(s.adj.row(a), b)
 	return ok
 }
@@ -477,6 +488,7 @@ func (s *Sim) drainQueue() error {
 		msg := s.queue[head] // copied before handlers can grow s.queue
 		head++
 		for _, nb := range s.adj.row(msg.From) {
+			s.inFrom, s.inTo = msg.From, nb
 			if s.medium == nil {
 				s.deliver(nb, msg)
 				continue
@@ -496,10 +508,12 @@ func (s *Sim) drainQueue() error {
 		}
 		if head > maxRounds {
 			s.queue = s.queue[:0]
+			s.inFrom, s.inTo = -1, -1
 			return fmt.Errorf("netsim: message storm: > %d broadcasts in one tick", maxRounds)
 		}
 	}
 	s.queue = s.queue[:0]
+	s.inFrom, s.inTo = -1, -1
 	return nil
 }
 
@@ -547,6 +561,7 @@ func (s *Sim) releasePending() {
 	if s.pending == nil {
 		return
 	}
+	s.inFrom, s.inTo = -1, -1
 	for _, p := range s.pending.take(s.tick) {
 		if p.dead {
 			continue

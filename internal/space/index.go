@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -25,8 +26,13 @@ type IndexStats struct {
 	// RequeriedRows is the total number of rows flagged for
 	// recomputation across all ticks (including the initial full build).
 	RequeriedRows int64
+	// SkinRebuilds is the number of row gathers that rebuilt the row's
+	// skin list from the cell window because the list had expired or
+	// gone stale; every other gather only filtered the list. Its ratio
+	// to RequeriedRows is the skin-rebuild fraction.
+	SkinRebuilds int64
 	// Teleports is the number of teleport steps (border wraps under the
-	// square metric) that triggered neighborhood marking.
+	// square metric) that Begin patched into the skin lists.
 	Teleports int64
 }
 
@@ -37,6 +43,14 @@ type IndexStats struct {
 // need recomputation ("requery") each tick. A row can be skipped soundly
 // while the total displacement budget since its last recomputation stays
 // below the row's cached distance margin to the nearest link flip.
+//
+// Each row also keeps a Verlet skin list: every node within
+// radius+marginCap of the row's node when the list was built, ascending.
+// While the row's drift budget since that build stays below marginCap,
+// no node outside the list can have come within the radius, so a
+// requeried row filters its list with exact distances instead of
+// scanning the cell window, and comes out sorted without a sort. Only an
+// expired or stale list is rebuilt from the window.
 //
 // The contract: after Begin, the adjacency row of every node i with
 // Requery(i) == false is guaranteed identical to the row a full rescan
@@ -56,10 +70,10 @@ type Index struct {
 	cellSize  float64
 	span      int     // cells scanned on each side of a query cell
 	wholeAxis bool    // scan window covers the whole grid
-	marginCap float64 // span·cellSize − radius: distance bound to unscanned nodes
+	marginCap float64 // span·cellSize − radius: the skin width s
 	theta     float64 // step length above which a move counts as a teleport
 	invDenom  float64 // 1/(2·radius + marginCap): sqrt-free margin lower bound
-	cullR2    float64 // (radius + marginCap)²: cell rectangles farther away are skipped
+	cullR2    float64 // (radius + marginCap)²: the skin reach
 
 	pos    []geom.Vec2 // caller's live position slice
 	last   []geom.Vec2 // positions at the previous Begin
@@ -69,8 +83,7 @@ type Index struct {
 	// bpos mirrors bucket with each member's position, refreshed every
 	// Begin: window scans then read candidate positions sequentially
 	// from the cell instead of gathering them from pos[j] all over the
-	// flat array — one streamed write per node per tick buys ~degree
-	// random reads per requeried row.
+	// flat array.
 	bpos [][]geom.Vec2
 
 	// Per-row requery bookkeeping: row i was last recomputed when the
@@ -83,21 +96,36 @@ type Index struct {
 	margin  []float64
 	gSum    float64
 
-	requery []bool
-	telep   []int32 // scratch: this tick's teleporters
-	teleOld []int32 // scratch: their pre-move cells
+	// Per-row skin lists, built when the path length was skinA[i] and
+	// the global drift budget skinG[i]; a list expires once
+	// (stepSum[i]−skinA[i]) + (gSum−skinG[i]) reaches marginCap, and a
+	// stale one (its own node teleported, or a fallback tick) is rebuilt
+	// on the next gather.
+	skin         [][]int32
+	skinA        []float64
+	skinG        []float64
+	stale        []bool
+	skinMean     int // mean list length of a uniform placement
+	skinRebuilds atomic.Int64
+
+	requery  []bool
+	telep    []int32     // scratch: this tick's teleporters
+	teleFrom []geom.Vec2 // scratch: their pre-move positions
+	near     []int32     // scratch: Begin's neighborhood queries
 
 	stats IndexStats
 }
 
 // indexBeta is the slack factor applied to the query radius when sizing
-// the scan window: the window reaches radius·(1+indexBeta) so the margin
-// cap stays strictly positive and stationary nodes are never forced to
-// requery just because an unscanned node sits exactly one window away.
+// the scan window: the window reaches radius·(1+indexBeta), so the skin
+// width marginCap is about indexBeta·radius. A wider skin lets lists
+// survive more ticks but makes each one longer to filter: on Figures 1–3
+// 0.3 rebuilt 20% of requeried rows' lists against 35% at 0.15, yet ran
+// them in the same time, so the narrower, smaller lists stay.
 const indexBeta = 0.15
 
 // indexSpan is the cell count the slackened radius is split into per
-// axis: finer cells hug the query disc tighter, so a gather visits
+// axis: finer cells hug the skin disc tighter, so a rebuild visits
 // ~π(r+cap)² worth of candidates instead of the 9 r² of a radius-sized
 // 3×3 block.
 const indexSpan = 2
@@ -105,7 +133,8 @@ const indexSpan = 2
 // NewIndex builds an incremental index over pos, tuned for neighbor
 // queries of the given radius. The slice is retained and read on every
 // Begin; the caller mutates positions in place between ticks. All rows
-// start flagged for requery so the first gather performs the full build.
+// start flagged for requery with stale skin lists, so the first gather
+// performs the full build.
 func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, error) {
 	if radius <= 0 {
 		return nil, fmt.Errorf("space: radius must be positive, got %g", radius)
@@ -136,9 +165,15 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 		baseA:    make([]float64, n),
 		baseG:    make([]float64, n),
 		margin:   make([]float64, n),
+		skin:     make([][]int32, n),
+		skinA:    make([]float64, n),
+		skinG:    make([]float64, n),
+		stale:    make([]bool, n),
 		requery:  make([]bool, n),
 	}
-	x.span = int(math.Ceil(x.radius / x.cellSize))
+	// floor+1 rather than ceil keeps the skin strictly positive when the
+	// radius is an exact multiple of the cell size.
+	x.span = int(math.Floor(x.radius/x.cellSize)) + 1
 	x.wholeAxis = 2*x.span+1 >= x.cells
 	x.marginCap = float64(x.span)*x.cellSize - x.radius
 	x.theta = x.cellSize / 2
@@ -167,6 +202,13 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 		x.bucket[c] = append(x.bucket[c], int32(i))
 		x.bpos[c] = append(x.bpos[c], pos[i])
 		x.requery[i] = true
+		x.stale[i] = true
+	}
+	// Size every skin list for 1.5× the mean list length of a uniform
+	// placement; freshSkin regrows the lists that outgrow it.
+	x.skinMean = int(float64(n-1) * min(1, math.Pi*x.cullR2/(side*side)))
+	for i := range x.skin {
+		x.skin[i] = make([]int32, 0, x.skinCap(0))
 	}
 	x.stats.RequeriedRows += int64(n)
 	return x, nil
@@ -176,7 +218,11 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 func (x *Index) Radius() float64 { return x.radius }
 
 // Stats returns the accumulated work counters.
-func (x *Index) Stats() IndexStats { return x.stats }
+func (x *Index) Stats() IndexStats {
+	st := x.stats
+	st.SkinRebuilds = x.skinRebuilds.Load()
+	return st
+}
 
 // cellIndex maps a position to its cell, clamping strays at the border.
 func (x *Index) cellIndex(p geom.Vec2) int {
@@ -217,15 +263,16 @@ func (x *Index) moveBucket(i, oldC, newC int32) {
 }
 
 // Begin advances the index one tick: it measures every node's step,
-// patches cell membership for boundary crossers, and decides which rows
-// need recomputation. With forceAll (radio-medium pathologies can flip
-// links without any motion) every row is flagged. Returns the number of
-// flagged rows; zero means the adjacency provably did not change.
+// patches cell membership for boundary crossers, patches the skin lists
+// around teleporters, and decides which rows need recomputation. With
+// forceAll (radio-medium pathologies can flip links without any motion)
+// every row is flagged. Returns the number of flagged rows; zero means
+// the adjacency provably did not change.
 func (x *Index) Begin(forceAll bool) int {
 	n := len(x.pos)
 	x.stats.Ticks++
 	x.telep = x.telep[:0]
-	x.teleOld = x.teleOld[:0]
+	x.teleFrom = x.teleFrom[:0]
 	maxStep := 0.0
 	for i := 0; i < n; i++ {
 		d := x.metric.Dist(x.last[i], x.pos[i])
@@ -237,10 +284,10 @@ func (x *Index) Begin(forceAll bool) int {
 		}
 		if d > x.theta {
 			// A teleport (e.g. a border wrap under the square metric):
-			// excluded from the shared drift budget, handled by marking
-			// both neighborhoods below.
+			// excluded from the shared drift budget, patched into the
+			// skin lists below.
 			x.telep = append(x.telep, int32(i))
-			x.teleOld = append(x.teleOld, oldC)
+			x.teleFrom = append(x.teleFrom, x.last[i])
 		} else if d > maxStep {
 			maxStep = d
 		}
@@ -250,59 +297,63 @@ func (x *Index) Begin(forceAll bool) int {
 	x.gSum += maxStep
 	x.stats.Teleports += int64(len(x.telep))
 
-	dirty := 0
-	if forceAll || len(x.telep) > n/16 {
+	if len(x.telep) > n/16 || maxStep >= x.marginCap {
+		// Too many teleporters to patch, or a step that spends every
+		// skin at once (and outreaches the window the old-position
+		// query scans): start every row and every list afresh.
 		for i := range x.requery {
 			x.requery[i] = true
+			x.stale[i] = true
 		}
-		dirty = n
-	} else {
-		for i := 0; i < n; i++ {
-			x.requery[i] = x.stepSum[i]-x.baseA[i]+x.gSum-x.baseG[i] >= x.margin[i]
+		x.stats.RequeriedRows += int64(n)
+		return n
+	}
+	for i := 0; i < n; i++ {
+		x.requery[i] = forceAll || x.stepSum[i]-x.baseA[i]+x.gSum-x.baseG[i] >= x.margin[i]
+	}
+	for _, j := range x.telep {
+		x.stale[j] = true
+		x.requery[j] = true
+	}
+	oldReach := x.radius + maxStep
+	for k, j := range x.telep {
+		// Every row that held j last tick lies within radius of j's old
+		// position as it was then, and has since moved at most maxStep.
+		x.near = x.within(x.teleFrom[k], oldReach*oldReach, j, x.near[:0])
+		for _, i := range x.near {
+			x.requery[i] = true
 		}
-		for k, j := range x.telep {
-			x.requery[j] = true
-			x.markAround(x.teleOld[k])
-			x.markAround(x.cellOf[j])
+		// Every row that j can reach before that row's skin expires lies
+		// within radius+marginCap of j's new position: j joins its list.
+		x.near = x.within(x.pos[j], x.cullR2, j, x.near[:0])
+		for _, i := range x.near {
+			x.requery[i] = true
+			x.insertSkin(i, j)
 		}
-		for i := range x.requery {
-			if x.requery[i] {
-				dirty++
-			}
+	}
+	dirty := 0
+	for _, r := range x.requery {
+		if r {
+			dirty++
 		}
 	}
 	x.stats.RequeriedRows += int64(dirty)
 	return dirty
 }
 
-// markAround flags every node within span+1 cells of cell c for requery.
-// Unmarked nodes are then at least (span+1)·cellSize away from any
-// position inside c, which dominates every margin the index hands out,
-// so skipping them remains sound even across a teleport.
-func (x *Index) markAround(c int32) {
-	reach := x.span + 1
-	cx := int(c) % x.cells
-	cy := int(c) / x.cells
-	wrap := x.metric.Kind() == geom.MetricTorus
-	for dy := -reach; dy <= reach; dy++ {
-		y := cy + dy
-		if wrap {
-			y = ((y % x.cells) + x.cells) % x.cells
-		} else if y < 0 || y >= x.cells {
-			continue
-		}
-		for dx := -reach; dx <= reach; dx++ {
-			cxx := cx + dx
-			if wrap {
-				cxx = ((cxx % x.cells) + x.cells) % x.cells
-			} else if cxx < 0 || cxx >= x.cells {
-				continue
-			}
-			for _, j := range x.bucket[y*x.cells+cxx] {
-				x.requery[j] = true
-			}
-		}
+// insertSkin adds j to row i's skin list, keeping it ascending. A stale
+// list is rebuilt on its next gather anyway, and a list that already
+// holds j (a superset entry from before the teleport) stays as it is.
+func (x *Index) insertSkin(i, j int32) {
+	if x.stale[i] {
+		return
 	}
+	s := x.skin[i]
+	k, found := slices.BinarySearch(s, j)
+	if found {
+		return
+	}
+	x.skin[i] = slices.Insert(s, k, j)
 }
 
 // Requery reports whether row i was flagged by the last Begin.
@@ -311,123 +362,121 @@ func (x *Index) Requery(i int) bool { return x.requery[i] }
 // Row appends the indices of all nodes within the query radius of node i
 // (excluding i), sorted ascending, and returns the extended slice. It
 // also refreshes row i's requery margin: a lower bound on the distance
-// any node would have to drift to flip its link state with i, capped by
-// the distance bound to uncovered cells. The per-candidate bound is
-// |d²−r²|/(2r+cap) ≤ |d−r|, which avoids a sqrt per candidate; for
-// candidates beyond the scan reach the quotient exceeds the cap, so the
-// overestimate is absorbed by the cap. Safe to call concurrently for
-// distinct i.
+// any node would have to drift to flip its link state with i. Listed
+// candidates contribute |d²−r²|/(2r+cap) ≤ |d−r| (no sqrt per
+// candidate); unlisted nodes sit at least cap − consumed beyond the
+// radius, where consumed is the skin budget already spent, so the
+// margin is capped there — which also absorbs the quotient's
+// overestimate for listed candidates beyond radius+cap. Safe to call
+// concurrently for distinct i.
 func (x *Index) Row(i int, out []int32) []int32 {
-	start := len(out)
+	consumed := x.freshSkin(i)
 	p := x.pos[i]
-	if x.wholeAxis {
-		// Everything is scanned, so there is no cap to absorb the
-		// quotient's overestimate for far candidates; use exact margins.
-		m := math.Inf(1)
-		scan := func(j int32) {
-			if int(j) == i {
-				return
-			}
-			d2 := x.metric.Dist2(p, x.pos[j])
-			if ad := math.Abs(math.Sqrt(d2) - x.radius); ad < m {
-				m = ad
-			}
-			if d2 <= x.r2 {
-				out = append(out, j)
-			}
-		}
-		x.scanBlock(p, scan)
-		x.margin[i] = m
-		x.baseA[i] = x.stepSum[i]
-		x.baseG[i] = x.gSum
-		sortRow(out[start:])
-		return out
-	}
-	// Hot path: the window scan is inlined with the raw |d²−r²| margin
-	// minimum tracked un-normalized (one multiply at the end instead of
-	// one per candidate). The self candidate contributes |0−r²|, which
-	// normalizes to a value above the cap, so it never lowers the margin
-	// and needs no branch; it is excluded from the row by the j != i
-	// check inside the much rarer in-range case.
+	// The raw |d²−r²| minimum is tracked un-normalized: one multiply at
+	// the end instead of one per candidate.
 	mRaw := math.Inf(1)
 	r2 := x.r2
-	var wbuf [maxWindowCells]winCell
-	win := x.windowCells(p, wbuf[:0])
-	for _, c := range win {
-		b := x.bucket[c.first]
-		bp := x.bpos[c.first][:len(b)]
-		for k, j := range b {
-			q := bp[k]
-			dx := p.X - q.X + c.ox
-			dy := p.Y - q.Y + c.oy
-			d2 := dx*dx + dy*dy
-			lb := d2 - r2
-			if lb < 0 {
-				lb = -lb
-			}
-			if lb < mRaw {
-				mRaw = lb
-			}
-			if d2 <= r2 && int(j) != i {
-				out = append(out, j)
-			}
+	for _, j := range x.skin[i] {
+		d2 := x.metric.Dist2(p, x.pos[j])
+		lb := d2 - r2
+		if lb < 0 {
+			lb = -lb
+		}
+		if lb < mRaw {
+			mRaw = lb
+		}
+		if d2 <= r2 {
+			out = append(out, j)
 		}
 	}
-	m := mRaw * x.invDenom
-	if x.marginCap < m {
-		m = x.marginCap
-	}
-	x.margin[i] = m
+	x.margin[i] = min(mRaw*x.invDenom, x.marginCap-consumed)
 	x.baseA[i] = x.stepSum[i]
 	x.baseG[i] = x.gSum
-	sortRow(out[start:])
 	return out
 }
 
 // RowFiltered is Row with a pair filter applied (radio-medium state) and
 // no margin refresh: when a medium is active every tick requeries every
-// row, so margins are never consulted. The filter runs only on
-// candidates already inside the radius — the cheap distance test
-// rejects the bulk of the window first. Safe to call concurrently for
-// distinct i.
+// row, so margins are never consulted. The skin lists stay valid across
+// those forced ticks, so the filter runs only on listed candidates
+// already inside the radius. Safe to call concurrently for distinct i.
 func (x *Index) RowFiltered(i int, out []int32, f PairFilter) []int32 {
-	start := len(out)
+	x.freshSkin(i)
 	p := x.pos[i]
+	for _, j := range x.skin[i] {
+		if x.metric.Dist2(p, x.pos[j]) <= x.r2 && f.Allow(int32(i), j) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// freshSkin rebuilds row i's skin list when it is stale or expired and
+// returns the drift budget spent since the list was built.
+func (x *Index) freshSkin(i int) float64 {
+	consumed := (x.stepSum[i] - x.skinA[i]) + (x.gSum - x.skinG[i])
+	if !x.stale[i] && consumed < x.marginCap {
+		return consumed
+	}
+	old := x.skin[i]
+	s := x.within(x.pos[i], x.cullR2, int32(i), old[:0])
+	if cap(s) != cap(old) {
+		// The list outgrew its capacity: leave headroom, as the buckets
+		// do, so teleport insertions and later rebuilds reuse it.
+		s = append(make([]int32, 0, x.skinCap(len(s))), s...)
+	}
+	if !x.wholeAxis {
+		sortRow(s)
+	}
+	x.skin[i] = s
+	x.skinA[i] = x.stepSum[i]
+	x.skinG[i] = x.gSum
+	x.stale[i] = false
+	x.skinRebuilds.Add(1)
+	return 0
+}
+
+// skinCap is the capacity a skin list of length l is given: 50%
+// headroom over l, but never less than over the mean length, so a list
+// first built in a sparse region does not keep outgrowing itself as its
+// node drifts into crowded ones.
+func (x *Index) skinCap(l int) int {
+	return min(max(l, x.skinMean)*3/2+8, len(x.pos))
+}
+
+// within appends to dst every node other than skip within √reach2 of p
+// (reach at most radius+marginCap) and returns the extended slice. It is
+// the index's only spatial scan: skin rebuilds and Begin's teleport
+// patch both use it. A whole-axis index visits every node in id order,
+// so its output is ascending; otherwise the order follows the window.
+func (x *Index) within(p geom.Vec2, reach2 float64, skip int32, dst []int32) []int32 {
 	if x.wholeAxis {
-		scan := func(j int32) {
-			if int(j) == i {
-				return
-			}
-			if x.metric.Dist2(p, x.pos[j]) <= x.r2 && f.Allow(int32(i), j) {
-				out = append(out, j)
+		for j, q := range x.pos {
+			if int32(j) != skip && x.metric.Dist2(p, q) <= reach2 {
+				dst = append(dst, int32(j))
 			}
 		}
-		x.scanBlock(p, scan)
-		sortRow(out[start:])
-		return out
+		return dst
 	}
-	r2 := x.r2
 	var wbuf [maxWindowCells]winCell
-	win := x.windowCells(p, wbuf[:0])
-	for _, c := range win {
+	for _, c := range x.windowCells(p, reach2, wbuf[:0]) {
 		b := x.bucket[c.first]
 		bp := x.bpos[c.first][:len(b)]
 		for k, j := range b {
 			q := bp[k]
 			dx := p.X - q.X + c.ox
 			dy := p.Y - q.Y + c.oy
-			if dx*dx+dy*dy <= r2 && int(j) != i && f.Allow(int32(i), j) {
-				out = append(out, j)
+			if dx*dx+dy*dy <= reach2 && j != skip {
+				dst = append(dst, j)
 			}
 		}
 	}
-	sortRow(out[start:])
-	return out
+	return dst
 }
 
 // maxWindowCells bounds the scan window: span ≤ 2 by construction
-// (cellSize ≥ radius·(1+indexBeta)/indexSpan, so ceil(radius/cellSize)
-// ≤ indexSpan), giving at most (2·span+1)² = 25 cells. The callers'
+// (cellSize ≥ radius·(1+indexBeta)/indexSpan, so floor(radius/cellSize)
+// < indexSpan), giving at most (2·span+1)² = 25 cells. The callers'
 // stack buffers use this; windowCells itself appends, so even a
 // miscounted bound would only cost a heap spill, never correctness.
 const maxWindowCells = (2*indexSpan + 1) * (2*indexSpan + 1)
@@ -439,20 +488,16 @@ type winCell struct {
 	ox, oy float64
 }
 
-// windowCells appends every non-culled cell of the scan window around p
-// to buf, each carrying the wrap correction (ox, oy) ∈ {−side, 0,
-// +side}² for that cell's image: candidate deltas are then
-// dx = p.X − q.X + ox with no per-candidate min-image branch or metric
-// dispatch.
-//
-// Bit-exactness with Metric.Dist2: inside a non-wholeAxis window
-// (cells ≥ 2·span+2) a wrapped cell's nodes satisfy
-// |p−q| ∈ [side/2, side), which is exactly the regime where wrapDelta
-// applies the same ±side correction — and that addition is exact by
-// Sterbenz's lemma, so both paths round identically. At the
-// |p−q| = side/2 boundary the two candidate images square to the same
-// value, so the computed d² always equals Dist2, for both metrics.
-func (x *Index) windowCells(p geom.Vec2, buf []winCell) []winCell {
+// windowCells appends every cell of the scan window around p whose
+// rectangle lies within √reach2 of p to buf, each carrying the wrap
+// correction (ox, oy) ∈ {−side, 0, +side}² for that cell's image:
+// candidate deltas are then dx = p.X − q.X + ox with no per-candidate
+// min-image branch or metric dispatch. Inside a non-wholeAxis window
+// (cells ≥ 2·span+2) a wrapped cell's nodes satisfy |p−q| ∈ [side/2,
+// side), exactly where the torus metric applies the same ±side shift,
+// and that addition is exact by Sterbenz's lemma, so the computed d²
+// equals Metric.Dist2.
+func (x *Index) windowCells(p geom.Vec2, reach2 float64, buf []winCell) []winCell {
 	cs := x.cellSize
 	side := x.metric.Side()
 	cx := int(p.X / cs)
@@ -499,7 +544,7 @@ func (x *Index) windowCells(p geom.Vec2, buf []winCell) []winCell {
 			} else if hi := float64(cxx+1) * cs; p.X > hi {
 				dxm = p.X - hi
 			}
-			if dxm*dxm+dym2 > x.cullR2 {
+			if dxm*dxm+dym2 > reach2 {
 				continue
 			}
 			ox := 0.0
@@ -522,70 +567,6 @@ func (x *Index) windowCells(p geom.Vec2, buf []winCell) []winCell {
 	return buf
 }
 
-// scanBlock visits every node in the scan window around p, skipping
-// cells whose rectangle lies entirely beyond radius+cap of p (those can
-// contain neither links nor margin-relevant candidates). Callers append
-// through the closure, which captures their slice variable.
-func (x *Index) scanBlock(p geom.Vec2, fn func(j int32)) {
-	if x.wholeAxis {
-		// The window covers the whole axis; visit every cell exactly
-		// once to avoid duplicates under wrapping.
-		for _, b := range x.bucket {
-			for _, j := range b {
-				fn(j)
-			}
-		}
-		return
-	}
-	cs := x.cellSize
-	cx := int(p.X / cs)
-	cy := int(p.Y / cs)
-	if cx >= x.cells {
-		cx = x.cells - 1
-	}
-	if cy >= x.cells {
-		cy = x.cells - 1
-	}
-	wrap := x.metric.Kind() == geom.MetricTorus
-	for dy := -x.span; dy <= x.span; dy++ {
-		y := cy + dy
-		// Rectangle distance along Y in unwrapped coordinates; valid on
-		// the torus too because the window spans less than half the
-		// region (non-wholeAxis), so no wrapped image is closer.
-		dym := 0.0
-		if lo := float64(y) * cs; p.Y < lo {
-			dym = lo - p.Y
-		} else if hi := float64(y+1) * cs; p.Y > hi {
-			dym = p.Y - hi
-		}
-		if wrap {
-			y = ((y % x.cells) + x.cells) % x.cells
-		} else if y < 0 || y >= x.cells {
-			continue
-		}
-		for dx := -x.span; dx <= x.span; dx++ {
-			cxx := cx + dx
-			dxm := 0.0
-			if lo := float64(cxx) * cs; p.X < lo {
-				dxm = lo - p.X
-			} else if hi := float64(cxx+1) * cs; p.X > hi {
-				dxm = p.X - hi
-			}
-			if dxm*dxm+dym*dym > x.cullR2 {
-				continue
-			}
-			if wrap {
-				cxx = ((cxx % x.cells) + x.cells) % x.cells
-			} else if cxx < 0 || cxx >= x.cells {
-				continue
-			}
-			for _, j := range x.bucket[y*x.cells+cxx] {
-				fn(j)
-			}
-		}
-	}
-}
-
 // sortCutoff is the row length up to which sortRow keeps insertion
 // sort; above it the O(d²) shifting dominates a high-degree gather.
 const sortCutoff = 16
@@ -594,8 +575,8 @@ const sortCutoff = 16
 // stack bitmap; wider rows fall back to slices.Sort.
 const sortSpanWords = 64
 
-// sortRow sorts a gathered row ascending in place. Row ids are
-// distinct, so a long row whose id span fits sortSpanWords words is
+// sortRow sorts a rebuilt skin list ascending in place. Ids are
+// distinct, so a long list whose id span fits sortSpanWords words is
 // sorted by setting one bit per id and reading the bits back in order:
 // O(d + span/64), about 5× faster than slices.Sort at d ≈ 113.
 func sortRow(s []int32) {
