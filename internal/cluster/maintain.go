@@ -132,7 +132,10 @@ type pendingJoin struct {
 	sentAt int64
 }
 
-var _ netsim.Protocol = (*Maintainer)(nil)
+var (
+	_ netsim.Protocol          = (*Maintainer)(nil)
+	_ netsim.BroadcastReceiver = (*Maintainer)(nil)
+)
 
 // NewMaintainer builds a maintenance protocol with the given election
 // policy and CLUSTER message size in bits.
@@ -252,6 +255,17 @@ func (m *Maintainer) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 			m.pending[rcv].border = msg.Border
 			m.retryJoin(rcv)
 		}
+	}
+}
+
+// OnBroadcast implements netsim.BroadcastReceiver: nothing in oracle
+// mode, OnMessage for each receiver in handshake mode.
+func (m *Maintainer) OnBroadcast(msg netsim.Message, rcvs []netsim.NodeID) {
+	if !m.handshake {
+		return
+	}
+	for _, rcv := range rcvs {
+		m.OnMessage(rcv, msg)
 	}
 }
 

@@ -206,6 +206,9 @@ func TestLockstepMatrix(t *testing.T) {
 				}
 				if s.Faults.DupProb > 0 {
 					covered["dup"] = true
+					if s.Faults.Delay.BaseTicks > 0 || s.Faults.Delay.JitterTicks > 0 {
+						covered["delay+dup"] = true
+					}
 				}
 				if s.Faults.Partition.PeriodTicks > 0 {
 					covered["partition"] = true
@@ -213,10 +216,17 @@ func TestLockstepMatrix(t *testing.T) {
 			}
 			if s.Handshake {
 				covered["handshake"] = true
+				if s.Faults == nil && s.NewModel != nil {
+					covered["moving ideal handshake"] = true
+				}
 			}
 		}
 	})
-	for _, want := range []string{"square", "torus", "faults", "handshake", "delay", "dup", "partition"} {
+	// Per-broadcast delivery meets cross-protocol responses (handshake
+	// re-joins answering HELLO) on a moving ideal-medium handshake
+	// scenario, and repeated receivers on a delay+dup one.
+	for _, want := range []string{"square", "torus", "faults", "handshake", "delay", "dup", "partition",
+		"delay+dup", "moving ideal handshake"} {
 		if !covered[want] {
 			t.Errorf("scenario matrix lost %s coverage", want)
 		}

@@ -127,7 +127,9 @@ type Protocol interface {
 	OnLinkEvent(ev LinkEvent)
 	// OnMessage is invoked when node rcv receives a broadcast. Protocols
 	// must filter on msg.Kind and may Broadcast in response (delivered
-	// within the same tick).
+	// within the same tick). Protocols that implement BroadcastReceiver
+	// get same-tick deliveries through OnBroadcast instead; OnMessage
+	// then still receives the delayed deliveries a Medium releases.
 	OnMessage(rcv NodeID, msg Message)
 	// OnTick is invoked once per tick after link events and the message
 	// exchange they triggered.
@@ -158,6 +160,34 @@ type Waker interface {
 	NextWake(now float64) float64
 }
 
+// BroadcastReceiver is an optional Protocol extension: OnBroadcast
+// receives one drained broadcast's same-tick deliveries in a single
+// call, in place of one OnMessage call per receiver. rcvs is ascending;
+// a medium-duplicated frame repeats its receiver; every rcv is a
+// current neighbour of msg.From; rcvs may be empty (the call is made
+// once per drained broadcast regardless). It must be equivalent to
+// calling OnMessage(rcv, msg) for each rcv in order. The slice is owned
+// by the engine: it must not be mutated or retained.
+//
+// The engine delivers a broadcast protocol-major: every protocol, in
+// registration order, sees all of the broadcast's receivers before the
+// next protocol sees any, whereas per-receiver delivery interleaves the
+// protocols receiver by receiver. The two orders are indistinguishable
+// — and runs stay byte-identical to the per-receiver engine — as long
+// as no protocol's handling of a broadcast observes another protocol's
+// handling of the same broadcast (its state changes or the broadcasts
+// it queues in response). Every protocol in this repository meets that
+// condition because each message kind has one acting consumer: HELLO
+// (Hello tables, handshake re-joins), CLUSTER (the Maintainer), ROUTE
+// (IntraDV); the other layers are empty or passive on delivery.
+//
+// Deliveries a Medium parks and releases on a later tick always arrive
+// through OnMessage: by then the receiver may no longer be a neighbour
+// of the sender, so they cannot meet OnBroadcast's contract.
+type BroadcastReceiver interface {
+	OnBroadcast(msg Message, rcvs []NodeID)
+}
+
 // Env is the engine surface protocols program against.
 type Env interface {
 	// Now returns the current simulation time.
@@ -176,6 +206,9 @@ type Env interface {
 	// Degree returns the current neighbor count of id.
 	Degree(id NodeID) int
 	// Broadcast queues msg for delivery to every current neighbor of
-	// msg.From during this tick and tallies it.
+	// msg.From during this tick and tallies it. The queue drains in FIFO
+	// order; each drained broadcast reaches the protocols through one
+	// OnBroadcast call (BroadcastReceiver) or one OnMessage call per
+	// receiver.
 	Broadcast(msg Message)
 }

@@ -77,7 +77,10 @@ type Sim struct {
 	tileWG   sync.WaitGroup
 
 	protocols []Protocol
-	started   bool
+	// batch[i] is protocols[i] as a BroadcastReceiver, nil when it only
+	// takes per-receiver OnMessage calls; resolved once at Register.
+	batch   []BroadcastReceiver
+	started bool
 
 	now     float64
 	tick    int64
@@ -92,6 +95,13 @@ type Sim struct {
 	// it equals delivered+dropped, which keeps the fault-draw stream — and
 	// therefore every existing loss/churn run — byte-identical.
 	attempts int64
+	// rcvBuf collects one broadcast's zero-delay receivers under a
+	// Medium (duplicates repeat their receiver), so a drop or delay never
+	// reaches the protocols. Sized for the worst case — every neighbor
+	// of a node delivered twice — when the medium is installed, so the
+	// drain never grows it. nil on the ideal medium, where a broadcast's
+	// receivers are the sender's adjacency row itself.
+	rcvBuf []NodeID
 	// pending parks delayed deliveries until their due tick. Lazily
 	// allocated on the first non-zero Fate.Delay, so media that never
 	// delay cost nothing.
@@ -99,10 +109,11 @@ type Sim struct {
 	// stepBroadcasts counts accepted broadcasts within the current phase;
 	// StepControlled resets it and folds it into StepReport.Active.
 	stepBroadcasts int
-	// inFrom→inTo is the delivery drainQueue is making from the sender's
-	// current row, so the pair is a link by construction and IsNeighbor
-	// answers it without a search. −1 when no such delivery is running:
-	// a delayed delivery must search the adjacency as it is now.
+	// inFrom→inTo is the OnMessage delivery drainQueue is making from
+	// the sender's current row, so the pair is a link by construction and
+	// IsNeighbor answers it without a search. −1 when no such delivery is
+	// running (an OnBroadcast call, or a released delayed delivery, which
+	// must search the adjacency as it is now).
 	inFrom, inTo NodeID
 }
 
@@ -161,6 +172,7 @@ func New(cfg Config) (*Sim, error) {
 		s.medium.Advance(0)
 		s.alive = make([]bool, cfg.N)
 		s.refreshAlive()
+		s.rcvBuf = make([]NodeID, 0, 2*cfg.N)
 	}
 	// Initial topology: NewIndex flags every row for requery, so the
 	// ordinary incremental rebuild produces the full adjacency.
@@ -175,6 +187,10 @@ func (s *Sim) Register(ps ...Protocol) error {
 		return fmt.Errorf("netsim: Register after Start")
 	}
 	s.protocols = append(s.protocols, ps...)
+	for _, p := range ps {
+		b, _ := p.(BroadcastReceiver)
+		s.batch = append(s.batch, b)
+	}
 	return nil
 }
 
@@ -473,11 +489,15 @@ func (s *Sim) Broadcast(msg Message) {
 
 // drainQueue delivers queued broadcasts in FIFO order until quiescence.
 // Messages emitted by receive handlers are delivered within the same
-// tick (ideal zero-delay medium). The queue is consumed with a head
-// index over one reusable buffer — no re-slicing that pins the backing
-// array, no capacity discard — so steady-state drains are allocation
-// free. A runaway protocol that floods without termination is cut off
-// with an error.
+// tick (ideal zero-delay medium). Each broadcast is delivered in three
+// steps: work out its same-tick receivers (the sender's row, or under a
+// Medium the row after every fate is applied), count them, then hand
+// them to each protocol in registration order — in one OnBroadcast call
+// for a BroadcastReceiver, one OnMessage call per receiver otherwise.
+// The queue is consumed with a head index over one reusable buffer — no
+// re-slicing that pins the backing array, no capacity discard — so
+// steady-state drains are allocation free. A runaway protocol that
+// floods without termination is cut off with an error.
 func (s *Sim) drainQueue() error {
 	// Legitimate protocols broadcast O(N) messages per tick (a full
 	// cluster re-formation plus a table round is a few multiples of N);
@@ -487,23 +507,23 @@ func (s *Sim) drainQueue() error {
 	for head < len(s.queue) {
 		msg := s.queue[head] // copied before handlers can grow s.queue
 		head++
-		for _, nb := range s.adj.row(msg.From) {
-			s.inFrom, s.inTo = msg.From, nb
-			if s.medium == nil {
-				s.deliver(nb, msg)
+		rcvs := s.adj.row(msg.From)
+		if s.medium != nil {
+			rcvs = s.applyFates(msg, rcvs)
+		}
+		// Float64 sums of integers far below 2^53: adding the count at
+		// once is exact, so the tallies match per-delivery increments.
+		s.delivered += int64(len(rcvs))
+		s.tallies.Delivered += float64(len(rcvs))
+		for i, p := range s.protocols {
+			if b := s.batch[i]; b != nil {
+				s.inFrom, s.inTo = -1, -1
+				b.OnBroadcast(msg, rcvs)
 				continue
 			}
-			s.attempts++
-			fate := s.medium.Deliver(s.attempts, msg.From, nb)
-			if fate.Drop {
-				s.dropped++
-				s.tallies.Dropped++
-				continue
-			}
-			s.deliverOrPark(nb, msg, fate.Delay)
-			if fate.Dup {
-				s.tallies.Duplicated++
-				s.deliverOrPark(nb, msg, fate.DupDelay)
+			for _, rcv := range rcvs {
+				s.inFrom, s.inTo = msg.From, rcv
+				p.OnMessage(rcv, msg)
 			}
 		}
 		if head > maxRounds {
@@ -517,7 +537,35 @@ func (s *Sim) drainQueue() error {
 	return nil
 }
 
-// deliver fires one point delivery into the protocol stack.
+// applyFates draws the medium's fate for each delivery of msg over the
+// sender's row, in row order, and returns the zero-delay receivers in
+// rcvBuf. Drops are counted, positive delays are parked in the pending
+// queue (evictions forced by the bounded per-receiver queue count in
+// Tallies.Overflow), and a duplicate's zero-delay copy repeats its
+// receiver. The draw order and the parking order are those of the
+// per-delivery loop, so every run stays byte-identical to it.
+func (s *Sim) applyFates(msg Message, row []NodeID) []NodeID {
+	rcvs := s.rcvBuf[:0]
+	for _, nb := range row {
+		s.attempts++
+		fate := s.medium.Deliver(s.attempts, msg.From, nb)
+		if fate.Drop {
+			s.dropped++
+			s.tallies.Dropped++
+			continue
+		}
+		rcvs = s.keepOrPark(rcvs, nb, msg, fate.Delay)
+		if fate.Dup {
+			s.tallies.Duplicated++
+			rcvs = s.keepOrPark(rcvs, nb, msg, fate.DupDelay)
+		}
+	}
+	s.rcvBuf = rcvs
+	return rcvs
+}
+
+// deliver fires one released point delivery into the protocol stack,
+// always through OnMessage.
 func (s *Sim) deliver(rcv NodeID, msg Message) {
 	s.delivered++
 	s.tallies.Delivered++
@@ -526,14 +574,13 @@ func (s *Sim) deliver(rcv NodeID, msg Message) {
 	}
 }
 
-// deliverOrPark applies a non-drop fate: zero delay delivers within the
-// current tick (the ideal path), a positive delay parks the delivery in
-// the pending queue until tick+delay. Evictions forced by the bounded
-// per-receiver queue are counted in Tallies.Overflow.
-func (s *Sim) deliverOrPark(rcv NodeID, msg Message, delay int32) {
+// keepOrPark applies a non-drop fate: zero delay appends rcv to the
+// broadcast's same-tick receivers, a positive delay (clamped to
+// MaxDelayTicks) parks the delivery in the pending queue until
+// tick+delay.
+func (s *Sim) keepOrPark(rcvs []NodeID, rcv NodeID, msg Message, delay int32) []NodeID {
 	if delay <= 0 {
-		s.deliver(rcv, msg)
-		return
+		return append(rcvs, rcv)
 	}
 	d := int64(delay)
 	if d > MaxDelayTicks {
@@ -549,6 +596,7 @@ func (s *Sim) deliverOrPark(rcv NodeID, msg Message, delay int32) {
 	if s.pending.add(s.tick, s.tick+d, rcv, msg) {
 		s.tallies.Overflow++
 	}
+	return rcvs
 }
 
 // releasePending delivers every parked message whose due tick is now. A

@@ -49,9 +49,16 @@ type Hello struct {
 	// stale and duplicated beacons under delaying/reordering media.
 	seqOut []uint32
 	filter *netsim.SeqFilter
+	// added collects one broadcast's receivers that are new to the
+	// sender's row, for OnBroadcast's merge. Sized at Start for the
+	// largest possible broadcast, so the delivery path never grows it.
+	added []netsim.NodeID
 }
 
-var _ netsim.Protocol = (*Hello)(nil)
+var (
+	_ netsim.Protocol          = (*Hello)(nil)
+	_ netsim.BroadcastReceiver = (*Hello)(nil)
+)
 
 // NewHello builds the lower-bound (event-driven) HELLO protocol.
 func NewHello(bits float64) (*Hello, error) {
@@ -92,6 +99,7 @@ func (h *Hello) Start(env netsim.Env) error {
 	h.tableSize = make([]int32, env.NumNodes())
 	h.seqOut = make([]uint32, env.NumNodes())
 	h.filter = netsim.NewSeqFilter(env.NumNodes())
+	h.added = make([]netsim.NodeID, 0, env.NumNodes())
 	for i := 0; i < env.NumNodes(); i++ {
 		h.beacon(netsim.NodeID(i), false)
 	}
@@ -144,6 +152,58 @@ func (h *Hello) OnMessage(rcv netsim.NodeID, msg netsim.Message) {
 	row.rcv = slices.Insert(row.rcv, i, rcv)
 	row.at = slices.Insert(row.at, i, h.env.Now())
 	h.tableSize[rcv]++
+}
+
+// OnBroadcast implements netsim.BroadcastReceiver: one beacon's
+// same-tick deliveries in a single merge into the sender's row. It is
+// OnMessage for each receiver in order, without the per-receiver search
+// or neighbor guard: every receiver is a current neighbor of the sender
+// by the engine's contract, and the ascending receivers walk the sorted
+// row once. A pass refreshes the receivers already present and collects
+// the new ones; a back-to-front merge then inserts those in place. A
+// repeated (medium-duplicated) receiver is skipped without consulting
+// the filter, which could neither change state nor accept it anew.
+func (h *Hello) OnBroadcast(msg netsim.Message, rcvs []netsim.NodeID) {
+	if msg.Kind != netsim.MsgHello {
+		return
+	}
+	now := h.env.Now()
+	row := &h.heard[msg.From]
+	added := h.added[:0]
+	i, prev := 0, netsim.NodeID(-1)
+	for _, r := range rcvs {
+		dup := r == prev
+		prev = r
+		if dup || !h.filter.Fresh(r, msg.From, msg.Seq) {
+			continue
+		}
+		for i < len(row.rcv) && row.rcv[i] < r {
+			i++
+		}
+		if i < len(row.rcv) && row.rcv[i] == r {
+			row.at[i] = now
+			continue
+		}
+		added = append(added, r)
+	}
+	h.added = added
+	if len(added) == 0 {
+		return
+	}
+	n, k := len(row.rcv), len(added)
+	row.rcv = slices.Grow(row.rcv, k)[:n+k]
+	row.at = slices.Grow(row.at, k)[:n+k]
+	i = n - 1
+	for j, w := k-1, n+k-1; j >= 0; w-- {
+		if i >= 0 && row.rcv[i] > added[j] {
+			row.rcv[w], row.at[w] = row.rcv[i], row.at[i]
+			i--
+			continue
+		}
+		row.rcv[w], row.at[w] = added[j], now
+		h.tableSize[added[j]]++
+		j--
+	}
 }
 
 // OnTick implements netsim.Protocol: periodic beaconing and soft-timer

@@ -33,6 +33,36 @@ func (e *modelEnv) IsNeighbor(a, b netsim.NodeID) bool { return e.adj[a][b] }
 func (e *modelEnv) Degree(id netsim.NodeID) int        { return len(e.Neighbors(id)) }
 func (e *modelEnv) Broadcast(msg netsim.Message)       { e.sent = append(e.sent, msg) }
 
+// quietEnv shares a modelEnv's adjacency and clock but discards
+// broadcasts, so a twin protocol can run beside the one whose frames
+// fill the pool. Both stamp the same sequence numbers, so the pool's
+// frames are valid input for either.
+type quietEnv struct{ *modelEnv }
+
+func (quietEnv) Broadcast(netsim.Message) {}
+
+// batchReceivers draws one broadcast's same-tick receivers the way the
+// engine hands them to OnBroadcast: ascending current neighbors of
+// from, and a medium-duplicated frame repeats its receiver. The shape
+// is an empty set, the whole row, only receivers whose tables lack from
+// (so every accepted one is inserted), or a random subset.
+func batchReceivers(rng *rand.Rand, env *modelEnv, h *Hello, from netsim.NodeID) (rcvs []netsim.NodeID, shape int) {
+	shape = rng.Intn(4)
+	if shape == 0 {
+		return nil, shape
+	}
+	for _, r := range env.Neighbors(from) {
+		if shape == 2 && h.Knows(r, from) || shape == 3 && rng.Intn(2) == 0 {
+			continue
+		}
+		rcvs = append(rcvs, r)
+		if rng.Intn(4) == 0 {
+			rcvs = append(rcvs, r)
+		}
+	}
+	return rcvs, shape
+}
+
 // helloModel restates Hello's table semantics with plain maps, indexed
 // the obvious way: heard[a][b] is when a last heard b.
 type helloModel struct {
@@ -114,8 +144,11 @@ func (m *helloModel) nextWake() float64 {
 // downs, clock ticks and deliveries drawn from the whole history of
 // sent frames — so frames arrive late, out of order, twice, and after
 // their link broke — and demands Knows, TableSize and NextWake agree
-// after every step, in both beacon modes. Both delivery guards must
-// fire along the way.
+// after every step, in both beacon modes. Two tables run side by side:
+// one takes every delivery through OnMessage, its twin takes half of
+// them as whole broadcasts through OnBroadcast (see batchReceivers),
+// and both must match the model. Both delivery guards must fire along
+// the way, and every receiver-set shape must occur, with repeats.
 func TestHelloTablesMatchMapModel(t *testing.T) {
 	const (
 		n        = 10
@@ -130,7 +163,8 @@ func TestHelloTablesMatchMapModel(t *testing.T) {
 			name = "periodic"
 		}
 		t.Run(name, func(t *testing.T) {
-			var stale, nonNeighbor int
+			var stale, nonNeighbor, repeats int
+			var shapes [4]int
 			for seed := int64(1); seed <= 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				env := &modelEnv{adj: make([][]bool, n)}
@@ -143,20 +177,31 @@ func TestHelloTablesMatchMapModel(t *testing.T) {
 						env.adj[a][b], env.adj[b][a] = up, up
 					}
 				}
-				var h *Hello
-				var err error
-				if periodic {
-					h, err = NewPeriodicHello(64, interval)
-				} else {
-					h, err = NewHello(64)
+				newHello := func() *Hello {
+					var h *Hello
+					var err error
+					if periodic {
+						h, err = NewPeriodicHello(64, interval)
+					} else {
+						h, err = NewHello(64)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return h
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				h, hb := newHello(), newHello()
 				model := newHelloModel(n, periodic, interval)
 				if err := h.Start(env); err != nil {
 					t.Fatal(err)
 				}
+				if err := hb.Start(quietEnv{env}); err != nil {
+					t.Fatal(err)
+				}
+				tables := []struct {
+					name string
+					h    *Hello
+				}{{"per-receiver", h}, {"batch", hb}}
 				var pool []netsim.Message
 				for step := 0; step < steps; step++ {
 					pool = append(pool, env.sent...)
@@ -178,10 +223,12 @@ func TestHelloTablesMatchMapModel(t *testing.T) {
 						env.adj[a][b], env.adj[b][a] = up, up
 						ev := netsim.LinkEvent{A: a, B: b, Up: up, Time: env.now}
 						h.OnLinkEvent(ev)
+						hb.OnLinkEvent(ev)
 						model.onLinkEvent(ev)
 					case op < 4: // clock tick
 						env.now += dt
 						h.OnTick(env.now)
+						hb.OnTick(env.now)
 						model.onTick(env.now)
 					default: // deliver a frame from the history
 						if len(pool) == 0 {
@@ -194,6 +241,23 @@ func TestHelloTablesMatchMapModel(t *testing.T) {
 						case 1:
 							msg.Kind = netsim.MsgCluster // foreign class: ignored
 						}
+						if rng.Intn(2) == 0 {
+							// One whole broadcast: the batch table takes it
+							// in one call, the others receiver by receiver.
+							rcvs, shape := batchReceivers(rng, env, h, msg.From)
+							shapes[shape]++
+							for k := 1; k < len(rcvs); k++ {
+								if rcvs[k] == rcvs[k-1] {
+									repeats++
+								}
+							}
+							hb.OnBroadcast(msg, rcvs)
+							for _, rcv := range rcvs {
+								h.OnMessage(rcv, msg)
+								model.onMessage(env, rcv, msg)
+							}
+							break
+						}
 						// Mostly a current neighbor; sometimes any node,
 						// which is a frame outliving its link.
 						rcv := netsim.NodeID(rng.Intn(n))
@@ -204,22 +268,25 @@ func TestHelloTablesMatchMapModel(t *testing.T) {
 							continue
 						}
 						h.OnMessage(rcv, msg)
+						hb.OnMessage(rcv, msg)
 						model.onMessage(env, rcv, msg)
 					}
-					for a := 0; a < n; a++ {
-						ida := netsim.NodeID(a)
-						if got, want := h.TableSize(ida), len(model.heard[a]); got != want {
-							t.Fatalf("seed %d step %d: TableSize(%d) = %d, model %d", seed, step, a, got, want)
-						}
-						for b := 0; b < n; b++ {
-							_, want := model.heard[a][netsim.NodeID(b)]
-							if got := h.Knows(ida, netsim.NodeID(b)); got != want {
-								t.Fatalf("seed %d step %d: Knows(%d, %d) = %v, model %v", seed, step, a, b, got, want)
+					for _, tb := range tables {
+						for a := 0; a < n; a++ {
+							ida := netsim.NodeID(a)
+							if got, want := tb.h.TableSize(ida), len(model.heard[a]); got != want {
+								t.Fatalf("seed %d step %d: %s TableSize(%d) = %d, model %d", seed, step, tb.name, a, got, want)
+							}
+							for b := 0; b < n; b++ {
+								_, want := model.heard[a][netsim.NodeID(b)]
+								if got := tb.h.Knows(ida, netsim.NodeID(b)); got != want {
+									t.Fatalf("seed %d step %d: %s Knows(%d, %d) = %v, model %v", seed, step, tb.name, a, b, got, want)
+								}
 							}
 						}
-					}
-					if got, want := h.NextWake(env.now), model.nextWake(); got != want {
-						t.Fatalf("seed %d step %d: NextWake = %v, model %v", seed, step, got, want)
+						if got, want := tb.h.NextWake(env.now), model.nextWake(); got != want {
+							t.Fatalf("seed %d step %d: %s NextWake = %v, model %v", seed, step, tb.name, got, want)
+						}
 					}
 				}
 				stale += model.staleRejects
@@ -227,6 +294,14 @@ func TestHelloTablesMatchMapModel(t *testing.T) {
 			}
 			if stale == 0 || nonNeighbor == 0 {
 				t.Errorf("guards not exercised: %d stale/duplicate rejects, %d non-neighbor rejects", stale, nonNeighbor)
+			}
+			for shape, c := range shapes {
+				if c == 0 {
+					t.Errorf("receiver-set shape %d never drawn: %v", shape, shapes)
+				}
+			}
+			if repeats == 0 {
+				t.Error("no broadcast repeated a receiver")
 			}
 		})
 	}

@@ -86,7 +86,10 @@ type Hybrid struct {
 	cache    map[[2]netsim.NodeID][]netsim.NodeID
 }
 
-var _ netsim.Protocol = (*Hybrid)(nil)
+var (
+	_ netsim.Protocol          = (*Hybrid)(nil)
+	_ netsim.BroadcastReceiver = (*Hybrid)(nil)
+)
 
 // NewHybrid builds the hybrid protocol on top of a cluster maintainer.
 func NewHybrid(cl *cluster.Maintainer, sizes Sizes) (*Hybrid, error) {
@@ -162,6 +165,10 @@ func (h *Hybrid) OnLinkEvent(ev netsim.LinkEvent) {
 
 // OnMessage implements netsim.Protocol.
 func (h *Hybrid) OnMessage(netsim.NodeID, netsim.Message) {}
+
+// OnBroadcast implements netsim.BroadcastReceiver: Hybrid acts on link
+// events, never on deliveries.
+func (h *Hybrid) OnBroadcast(netsim.Message, []netsim.NodeID) {}
 
 // OnTick implements netsim.Protocol: refresh the affiliation snapshot
 // after the maintainer has settled this tick's changes.

@@ -53,27 +53,28 @@ type Record struct {
 	Dropped    int64   `json:"dropped,omitempty"`
 }
 
-// Tracer streams simulation records to a writer. It deduplicates
-// broadcast records (each broadcast is observed once per receiving
-// neighbor by OnMessage; only the first observation is logged).
+// Tracer streams simulation records to a writer. It logs one record
+// per drained broadcast through netsim.BroadcastReceiver, whatever the
+// medium did to its deliveries, so it needs an engine that makes the
+// OnBroadcast call (netsim.Sim and the event core built on it).
 type Tracer struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
 	enc *json.Encoder
 	err error
 
-	env           netsim.Env
-	summaryEvery  float64
-	lastSummary   float64
-	lastSeen      netsim.Message
-	lastSeenValid bool
-	lastRemaining int
+	env          netsim.Env
+	summaryEvery float64
+	lastSummary  float64
 
 	links    int64
 	messages int64
 }
 
-var _ netsim.Protocol = (*Tracer)(nil)
+var (
+	_ netsim.Protocol          = (*Tracer)(nil)
+	_ netsim.BroadcastReceiver = (*Tracer)(nil)
+)
 
 // New builds a tracer writing to w. summaryEvery sets the period of
 // topology summary records; 0 disables them.
@@ -108,19 +109,15 @@ func (t *Tracer) OnLinkEvent(ev netsim.LinkEvent) {
 	t.links++
 }
 
-// OnMessage implements netsim.Protocol: log each distinct broadcast
-// once. A broadcast is delivered to every neighbor of its sender
-// back-to-back and adjacency is fixed within a tick, so counting
-// Degree(From) consecutive matching deliveries identifies the broadcast
-// boundary exactly — even between identical back-to-back broadcasts.
-func (t *Tracer) OnMessage(_ netsim.NodeID, msg netsim.Message) {
-	if t.lastSeenValid && t.lastRemaining > 0 && sameBroadcast(t.lastSeen, msg) {
-		t.lastRemaining--
-		return
-	}
-	t.lastSeen = msg
-	t.lastSeenValid = true
-	t.lastRemaining = t.env.Degree(msg.From) - 1
+// OnMessage implements netsim.Protocol. It logs nothing: same-tick
+// deliveries are logged per broadcast by OnBroadcast, and a released
+// delayed delivery belongs to a broadcast already logged.
+func (t *Tracer) OnMessage(netsim.NodeID, netsim.Message) {}
+
+// OnBroadcast implements netsim.BroadcastReceiver: log the broadcast
+// once, even when the medium dropped or delayed every delivery or the
+// sender has no neighbors.
+func (t *Tracer) OnBroadcast(msg netsim.Message, _ []netsim.NodeID) {
 	from := msg.From
 	t.write(Record{
 		Time: t.env.Now(), Kind: KindMessage,
@@ -129,15 +126,8 @@ func (t *Tracer) OnMessage(_ netsim.NodeID, msg netsim.Message) {
 	t.messages++
 }
 
-// sameBroadcast reports whether two delivery observations belong to one
-// broadcast.
-func sameBroadcast(a, b netsim.Message) bool {
-	return a.From == b.From && a.Kind == b.Kind && a.Bits == b.Bits && a.Border == b.Border
-}
-
 // OnTick implements netsim.Protocol.
 func (t *Tracer) OnTick(now float64) {
-	t.lastSeenValid = false
 	if t.summaryEvery == 0 {
 		return
 	}
