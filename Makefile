@@ -1,6 +1,6 @@
 # Development targets for the MANET overhead reproduction.
 
-.PHONY: build test vet race check check-full chaos difftest difftest-event bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos perfbench-test
+.PHONY: build test vet race check check-full chaos difftest difftest-event bench bench-smoke serve-smoke crash-harness worker-chaos storage-chaos perfbench-test profile-figures
 
 build:
 	go build ./...
@@ -22,8 +22,10 @@ race:
 # faults config validator, the daemon's HTTP job-spec decoder, the
 # distributed-sweep wire protocol (lease grants plus the coordinator's
 # claim/heartbeat/result/done decoders), the event core's priority
-# queue (model-checked against a sorted-slice specification), and the
-# storage fault-plan decoder.
+# queue (model-checked against a sorted-slice specification), the
+# storage fault-plan decoder, and the spatial index's pair certificates
+# (random moves, teleports and multi-tick gaps against a brute-force
+# rescan).
 check:
 	go vet ./... && go test -race -short -count=1 ./...
 	go test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint
@@ -35,6 +37,7 @@ check:
 	go test -run '^$$' -fuzz FuzzLeaseDecode -fuzztime 5s ./internal/service
 	go test -run '^$$' -fuzz FuzzWireDecode -fuzztime 5s ./internal/service
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 5s ./internal/eventsim
+	go test -run '^$$' -fuzz FuzzIndexMatchesRescan -fuzztime 5s ./internal/space
 
 # check-full is the CI deep gate: the whole suite — 48 lockstep
 # scenarios, full-length statistical conformance — with caching off.
@@ -86,6 +89,16 @@ bench:
 # before timing). It is a correctness smoke, not a timing source.
 bench-smoke:
 	go run -race ./cmd/bench -step-only -step-ticks 120 -n 1000 -tiles 4 -core event -out /tmp/bench-smoke.json
+
+# profile-figures writes the CPU profile of BenchmarkFig1–3 (5
+# iterations each) to $(PROFDIR)/figures.cpu.prof, with the test binary
+# beside it as figures.test, and prints its top entries by cumulative
+# time: the profile the ROADMAP's per-layer shares are read from.
+PROFDIR ?= .bench_build/profile
+profile-figures:
+	mkdir -p $(PROFDIR)
+	go test -run '^$$' -bench 'BenchmarkFig[123]$$' -benchtime 5x -cpuprofile $(PROFDIR)/figures.cpu.prof -o $(PROFDIR)/figures.test .
+	go tool pprof -top -cum $(PROFDIR)/figures.test $(PROFDIR)/figures.cpu.prof | head -40
 
 # perfbench-test vets and tests the repository benchmark (perfbench/, a
 # module of its own that the root ./... does not reach), so a change to

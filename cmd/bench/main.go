@@ -123,9 +123,9 @@ type StepResult struct {
 	NsPerTick     float64 `json:"ns_per_tick"`
 	AllocsPerTick float64 `json:"allocs_per_tick"`
 	BytesPerTick  float64 `json:"bytes_per_tick"`
-	// RequeryFrac is the fraction of adjacency rows the incremental
-	// index re-queried per tick over the measured window (1.0 on the
-	// fault rows, where every row is re-queried by design).
+	// RequeryFrac is the fraction of adjacency rows whose neighbor list
+	// changed per tick over the measured window (1.0 on the fault rows,
+	// where the medium re-filters every row by design).
 	RequeryFrac float64 `json:"requery_frac"`
 	// ExtrapolatedRescanNs and SpeedupVsRescan compare against the
 	// BENCH_3 full-rescan engine scaled to this N (scaling rows only).
@@ -346,7 +346,7 @@ func run(args []string, out io.Writer) error {
 	rep.Step = step
 	rep.StepSpeedup = seedStep.NsPerTick / step.NsPerTick
 	rep.AllocReduction = seedStep.AllocsPerTick - step.AllocsPerTick
-	fmt.Fprintf(out, "step: %.0f ns/tick, %.1f allocs/tick, %.0f B/tick, %.0f%% rows requeried (seed: %.0f ns, %.0f allocs → %.2fx)\n",
+	fmt.Fprintf(out, "step: %.0f ns/tick, %.1f allocs/tick, %.0f B/tick, %.0f%% rows changed (seed: %.0f ns, %.0f allocs → %.2fx)\n",
 		step.NsPerTick, step.AllocsPerTick, step.BytesPerTick, 100*step.RequeryFrac,
 		seedStep.NsPerTick, seedStep.AllocsPerTick, rep.StepSpeedup)
 
@@ -398,7 +398,7 @@ func run(args []string, out io.Writer) error {
 				return err
 			}
 			rep.StepScaling = append(rep.StepScaling, row)
-			fmt.Fprintf(out, "scale n=%d tiles=%d %s: %.0f ns/tick (%d ticks), %.1f allocs/tick, %.0f%% rows requeried, rescan extrapolation %.0f ns → %.2fx, tiles bit-identical %v\n",
+			fmt.Fprintf(out, "scale n=%d tiles=%d %s: %.0f ns/tick (%d ticks), %.1f allocs/tick, %.0f%% rows changed, rescan extrapolation %.0f ns → %.2fx, tiles bit-identical %v\n",
 				row.N, row.Tiles, row.Mobility, row.NsPerTick, row.Ticks, row.AllocsPerTick, 100*row.RequeryFrac,
 				row.ExtrapolatedRescanNs, row.SpeedupVsRescan, row.TilesBitIdentical)
 			if !row.TilesBitIdentical {

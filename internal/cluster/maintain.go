@@ -452,10 +452,6 @@ func (m *Maintainer) send(from netsim.NodeID, border bool, cause Cause) {
 		Bits:   m.bits,
 		Border: border,
 		Seq:    m.seqOut[from],
-		Payload: clusterAnnouncement{
-			Node: from,
-			Head: m.a.Head[from],
-		},
 	})
 }
 
@@ -494,12 +490,6 @@ func (m *Maintainer) sendAck(head, member netsim.NodeID, border bool, cause Caus
 		Seq:     m.seqOut[head],
 		Payload: joinAck{Member: member, Head: head},
 	})
-}
-
-// clusterAnnouncement is the payload of a CLUSTER message: the sender's
-// new affiliation.
-type clusterAnnouncement struct {
-	Node, Head netsim.NodeID
 }
 
 // joinRequest is a handshake-mode JOIN: Node asks Head to accept it.

@@ -347,5 +347,5 @@ func (s *Sim) Dropped() int64 { return s.base.Dropped() }
 // MeanDegree returns the current average node degree.
 func (s *Sim) MeanDegree() float64 { return s.base.MeanDegree() }
 
-// IndexStats exposes the spatial index's requery counters.
+// IndexStats exposes the spatial index's work counters.
 func (s *Sim) IndexStats() space.IndexStats { return s.base.IndexStats() }

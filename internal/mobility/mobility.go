@@ -45,11 +45,16 @@ type Population struct {
 	Target    []geom.Vec2
 	Remaining []float64 // time left in the current epoch or pause
 	Paused    []bool
+
+	// head caches geom.Heading(Dir[i]) for the Dir whose bits are
+	// headOf[i]; see heading.
+	head   []geom.Vec2
+	headOf []uint64
 }
 
 // NewPopulation allocates state for n nodes, all zero.
 func NewPopulation(n int) *Population {
-	return &Population{
+	p := &Population{
 		Pos:       make([]geom.Vec2, n),
 		Dir:       make([]float64, n),
 		Speed:     make([]float64, n),
@@ -57,7 +62,28 @@ func NewPopulation(n int) *Population {
 		Target:    make([]geom.Vec2, n),
 		Remaining: make([]float64, n),
 		Paused:    make([]bool, n),
+		head:      make([]geom.Vec2, n),
+		headOf:    make([]uint64, n),
 	}
+	for i := range p.head {
+		p.head[i] = geom.Heading(0)
+	}
+	return p
+}
+
+// heading returns geom.Heading(p.Dir[i]), recomputing it only when the
+// bits of Dir[i] changed since the last call: the trigonometry then runs
+// once per direction draw rather than once per step and per kinematics
+// fill, with identical results.
+func (p *Population) heading(i int) geom.Vec2 {
+	if p.head == nil {
+		return geom.Heading(p.Dir[i])
+	}
+	if b := math.Float64bits(p.Dir[i]); b != p.headOf[i] {
+		p.head[i] = geom.Heading(p.Dir[i])
+		p.headOf[i] = b
+	}
+	return p.head[i]
 }
 
 // Len reports the number of nodes.
@@ -73,6 +99,10 @@ func (p *Population) Permute(perm []int) {
 	permuteSlice(p.Target, perm)
 	permuteSlice(p.Remaining, perm)
 	permuteSlice(p.Paused, perm)
+	if p.head != nil {
+		permuteSlice(p.head, perm)
+		permuteSlice(p.headOf, perm)
+	}
 }
 
 func permuteSlice[T any](s []T, perm []int) {
@@ -111,7 +141,7 @@ func uniformInit(n int, metric geom.Metric, rng *rand.Rand) (*Population, error)
 
 // advanceWrap moves node i along its heading for dt, wrapping at borders.
 func advanceWrap(p *Population, i int, metric geom.Metric, dt float64) {
-	np := p.Pos[i].Add(geom.Heading(p.Dir[i]).Scale(p.Speed[i] * dt))
+	np := p.Pos[i].Add(p.heading(i).Scale(p.Speed[i] * dt))
 	p.Pos[i], p.Wrapped[i] = metric.Wrap(np)
 }
 
@@ -119,8 +149,8 @@ func advanceWrap(p *Population, i int, metric geom.Metric, dt float64) {
 // borders (classic random-walk boundary handling). Reflection never wraps.
 func advanceReflect(p *Population, i int, metric geom.Metric, dt float64) {
 	side := metric.Side()
-	np := p.Pos[i].Add(geom.Heading(p.Dir[i]).Scale(p.Speed[i] * dt))
-	dir := geom.Heading(p.Dir[i])
+	dir := p.heading(i)
+	np := p.Pos[i].Add(dir.Scale(p.Speed[i] * dt))
 	var rx, ry bool
 	np.X, dir.X, rx = reflectCoord(np.X, dir.X, side)
 	np.Y, dir.Y, ry = reflectCoord(np.Y, dir.Y, side)

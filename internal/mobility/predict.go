@@ -62,7 +62,7 @@ func (BCV) WrapsBorders() bool { return true }
 // FillKinematics implements Predictable: one direction forever.
 func (BCV) FillKinematics(p *Population, vel []geom.Vec2, hold []float64) bool {
 	for i := range p.Pos {
-		vel[i] = geom.Heading(p.Dir[i]).Scale(p.Speed[i])
+		vel[i] = p.heading(i).Scale(p.Speed[i])
 		hold[i] = math.Inf(1)
 	}
 	return true
@@ -80,7 +80,7 @@ func (EpochRWP) WrapsBorders() bool { return true }
 // current velocity exactly for every time strictly below Remaining.
 func (EpochRWP) FillKinematics(p *Population, vel []geom.Vec2, hold []float64) bool {
 	for i := range p.Pos {
-		vel[i] = geom.Heading(p.Dir[i]).Scale(p.Speed[i])
+		vel[i] = p.heading(i).Scale(p.Speed[i])
 		hold[i] = p.Remaining[i]
 	}
 	return true

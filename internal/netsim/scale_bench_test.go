@@ -14,9 +14,9 @@ import (
 
 // BenchmarkStep times the steady-state tick loop at constant density
 // (side grows as √N) for the canonical bench mobility and a low-mobility
-// variant (1/10 speed). The spread between the two shows the margin
-// mechanism at work: per-tick cost is dominated by the fraction of rows
-// whose drift budget is exhausted, not by N itself. The stack row runs
+// variant (1/10 speed). The spread between the two shows the pair
+// certificates at work: per-tick cost follows link flips and cell
+// changes, which scale with speed, not with N itself. The stack row runs
 // the canonical N=400 network with the protocols MeasureRates registers,
 // so it times the broadcast delivery path the other rows never reach.
 func BenchmarkStep(b *testing.B) {
@@ -57,7 +57,8 @@ func BenchmarkStep(b *testing.B) {
 				}
 			}
 			st := s.IndexStats()
-			b.ReportMetric(float64(st.RequeriedRows)/float64(st.Ticks)/float64(bc.n), "requery/row/tick")
+			b.ReportMetric(float64(st.RequeriedRows)/float64(st.Ticks)/float64(bc.n), "changed/row/tick")
+			b.ReportMetric(float64(st.PairChecks)/float64(st.Ticks)/float64(bc.n), "checks/row/tick")
 		})
 	}
 }

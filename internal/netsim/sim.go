@@ -30,18 +30,6 @@ type csrAdj struct {
 // row returns node i's neighbor list, sorted ascending.
 func (a *csrAdj) row(i NodeID) []NodeID { return a.flat[a.off[i]:a.off[i+1]] }
 
-// mediumFilter adapts the fault medium to the spatial index's pair
-// filter. It lives on the Sim so handing it to RowFiltered never
-// allocates a closure.
-type mediumFilter struct{ s *Sim }
-
-// Allow reports whether the pair (i, j) may link: j's radio is up and
-// no partition cut severs the pair. Row-owner liveness (i) is checked
-// by the gather loop before the row is queried at all.
-func (f *mediumFilter) Allow(i, j int32) bool {
-	return f.s.alive[j] && !f.s.medium.Cut(NodeID(i), NodeID(j))
-}
-
 // Sim is the simulation engine. Construct with New, register protocols,
 // then Start and Step (or Run). Sim is not safe for concurrent use.
 type Sim struct {
@@ -63,17 +51,26 @@ type Sim struct {
 	// hot paths index a []bool instead of calling through an interface.
 	// nil when medium == nil.
 	alive []bool
-	filt  mediumFilter
 
 	adj     csrAdj // current topology
 	prevAdj csrAdj // previous tick's topology
+	// geo is the geometric adjacency the index certifies, and geoAlt its
+	// double buffer; kept apart from adj only under a Medium, whose
+	// liveness and cuts filter geo into adj every tick.
+	geo, geoAlt csrAdj
 
-	// Scratch reused every tick by the incremental CSR rebuild.
-	deg      []int32   // per-node degree this tick
-	rowStart []int32   // requeried row's offset inside its tile arena
-	changed  []bool    // row requeried this tick (may still be identical)
-	arenas   [][]int32 // per-tile gather buffers (disjoint writers)
-	tiles    int       // effective tile count, ≥ 1
+	// Scratch reused every tick by the CSR patch and the medium filter.
+	chgOff   []int32 // per-node offsets into chg, len N+1
+	chg      []int32 // per-node flip lists: partner<<1 | up, ascending
+	deg      []int32 // per-node degree this tick (medium filter)
+	rowStart []int32 // filtered row's offset inside its tile arena; patch cursor
+	patchSrc *csrAdj // the rows patchRange merges chg into
+	patchDst *csrAdj
+	arenas   [][]NodeID    // per-tile filtered rows (disjoint writers)
+	tileEv   [][]LinkEvent // per-tile filtered-row events
+	// filtered counts the rows filterRows rebuilt: all N on every call.
+	filtered int64
+	tiles    int // effective tile count, ≥ 1
 	tileWG   sync.WaitGroup
 
 	protocols []Protocol
@@ -156,15 +153,15 @@ func New(cfg Config) (*Sim, error) {
 		pop:      pop,
 		adj:      csrAdj{off: make([]int32, cfg.N+1)},
 		prevAdj:  csrAdj{off: make([]int32, cfg.N+1)},
-		deg:      make([]int32, cfg.N),
+		chgOff:   make([]int32, cfg.N+1),
 		rowStart: make([]int32, cfg.N),
-		changed:  make([]bool, cfg.N),
-		arenas:   make([][]int32, tiles),
 		tiles:    tiles,
 		inFrom:   -1,
 		inTo:     -1,
 	}
-	s.filt.s = s
+	if pm, ok := cfg.Model.(mobility.Predictable); ok {
+		index.UseKinematics(pm, pop, cfg.Dt)
+	}
 	if s.medium != nil {
 		// Faults draw from a dedicated stream family: registering a
 		// medium never perturbs placement or mobility draws.
@@ -173,10 +170,25 @@ func New(cfg Config) (*Sim, error) {
 		s.alive = make([]bool, cfg.N)
 		s.refreshAlive()
 		s.rcvBuf = make([]NodeID, 0, 2*cfg.N)
+		s.geo = csrAdj{off: make([]int32, cfg.N+1)}
+		s.geoAlt = csrAdj{off: make([]int32, cfg.N+1)}
+		s.deg = make([]int32, cfg.N)
+		s.arenas = make([][]NodeID, tiles)
+		s.tileEv = make([][]LinkEvent, tiles)
 	}
-	// Initial topology: NewIndex flags every row for requery, so the
-	// ordinary incremental rebuild produces the full adjacency.
-	s.rebuildRows()
+	// Initial topology: the index's first Begin reports every link as an
+	// up flip, which patches the empty adjacency into the full one. New
+	// emits no events, and lets go of the scratch the initial burst
+	// grew: steady-state ticks flip a few percent of the links.
+	if s.medium == nil {
+		s.patch(&s.prevAdj, &s.adj, s.index.Begin(0))
+		s.adj, s.prevAdj = s.prevAdj, s.adj
+	} else {
+		s.updateTopology(s.index.Begin(0))
+		s.events = nil
+		clear(s.tileEv)
+	}
+	s.chg = nil
 	return s, nil
 }
 
@@ -279,22 +291,16 @@ func (s *Sim) StepControlled(ctl StepControl) (StepReport, error) {
 		s.refreshAlive()
 	}
 
-	// 2. Topology maintenance. Begin patches the cell buckets and flags
-	// the rows whose drift budget is spent (all rows when a medium is
-	// active: fault flips are not motion-driven, so margins cannot see
-	// them). Zero flagged rows proves the adjacency is unchanged — the
-	// stationary fast path skips the rebuild and the diff outright. The
-	// index's drift budgets are measured against each row's last
-	// recomputation, not the previous call, so Begin stays sound across
-	// ticks a certificate skipped entirely.
+	// 2. Topology maintenance. Begin re-checks only the pairs whose
+	// certificates came due and returns those that flipped; the link
+	// events are those flips, and the adjacency is patched from them.
+	// No flips (the stationary fast path) leaves the adjacency as it is.
+	// Certificates are keyed to ticks and drift budgets, not to calls,
+	// so Begin stays sound across ticks a certificate skipped entirely.
 	if ctl.SkipTopo {
 		s.events = s.events[:0]
-	} else if dirty := s.index.Begin(s.medium != nil); dirty == 0 {
-		s.events = s.events[:0]
 	} else {
-		s.adj, s.prevAdj = s.prevAdj, s.adj
-		s.rebuildRows()
-		s.diffAdjacency()
+		s.updateTopology(s.index.Begin(s.tick))
 	}
 
 	rep := StepReport{Events: len(s.events)}
@@ -445,9 +451,16 @@ func (s *Sim) MeanDegree() float64 {
 	return float64(len(s.adj.flat)) / float64(s.cfg.N)
 }
 
-// IndexStats exposes the spatial index's requery counters, for
-// benchmarks and diagnostics.
-func (s *Sim) IndexStats() space.IndexStats { return s.index.Stats() }
+// IndexStats exposes the spatial index's work counters, for benchmarks
+// and diagnostics. Under a Medium every row is rebuilt by the filter
+// each tick, so RequeriedRows counts N per tick there.
+func (s *Sim) IndexStats() space.IndexStats {
+	st := s.index.Stats()
+	if s.medium != nil {
+		st.RequeriedRows = s.filtered
+	}
+	return st
+}
 
 // Tick returns the current tick number (0 before the first Step).
 func (s *Sim) Tick() int64 { return s.tick }
@@ -632,22 +645,136 @@ func (s *Sim) refreshAlive() {
 	}
 }
 
-// rebuildRows reconstructs the CSR adjacency for the current tick,
-// re-querying only the rows the index flagged and splicing every other
-// row over from prevAdj unchanged. Three phases: gather (per-tile, rows
-// land in per-tile arenas), prefix-sum (serial, O(N)), fill (per-tile,
-// rows copied into their final flat segments). With cfg.Tiles ≥ 2 the
-// gather and fill phases run on the shared worker pool; tiles are
-// contiguous node-ID ranges, so all writes are tile-disjoint and the
-// result is byte-identical for every tile count.
-func (s *Sim) rebuildRows() {
+// updateTopology brings the adjacency to this tick's state from the
+// index's flips (ascending by (A, B)) and sets s.events. On the ideal
+// medium the flips are the link events and patch adj directly. Under a
+// Medium they patch the geometric adjacency, which filterRows then
+// filters into adj, emitting the events of the filtered adjacency.
+func (s *Sim) updateTopology(flips []space.Flip) {
+	s.events = s.events[:0]
+	if s.medium == nil {
+		if len(flips) == 0 {
+			return
+		}
+		for _, f := range flips {
+			s.events = append(s.events, s.makeEvent(NodeID(f.A), NodeID(f.B), f.Up))
+		}
+		s.patch(&s.prevAdj, &s.adj, flips)
+		s.adj, s.prevAdj = s.prevAdj, s.adj
+		return
+	}
+	if len(flips) > 0 {
+		s.patch(&s.geoAlt, &s.geo, flips)
+		s.geo, s.geoAlt = s.geoAlt, s.geo
+	}
+	s.adj, s.prevAdj = s.prevAdj, s.adj
+	s.filterRows()
+}
+
+// patch sets dst to src with the flips applied. The flips are scattered
+// into per-node lists (chg), which come out ascending by partner: a
+// node x gains its partners below x from flips (a, x) in ascending a,
+// then those above from flips (x, b) in ascending b. The degree
+// prefix-sum is serial; the row merge runs per tile.
+func (s *Sim) patch(dst, src *csrAdj, flips []space.Flip) {
+	n := s.cfg.N
+	co := s.chgOff
+	clear(co)
+	for _, f := range flips {
+		co[f.A+1]++
+		co[f.B+1]++
+	}
+	for i := 0; i < n; i++ {
+		co[i+1] += co[i]
+	}
+	cur := s.rowStart
+	copy(cur, co[:n])
+	if cap(s.chg) < 2*len(flips) {
+		s.chg = make([]int32, 2*len(flips), 2*len(flips)+len(flips)/2+16)
+	}
+	s.chg = s.chg[:2*len(flips)]
+	for _, f := range flips {
+		up := int32(0)
+		if f.Up {
+			up = 1
+		}
+		s.chg[cur[f.A]] = f.B<<1 | up
+		cur[f.A]++
+		s.chg[cur[f.B]] = f.A<<1 | up
+		cur[f.B]++
+	}
+	off := dst.off
+	off[0] = 0
+	for i := 0; i < n; i++ {
+		d := src.off[i+1] - src.off[i]
+		for _, c := range s.chg[co[i]:co[i+1]] {
+			d += 2*(c&1) - 1
+		}
+		off[i+1] = off[i] + d
+	}
+	e := int(off[n])
+	if cap(dst.flat) < e {
+		dst.flat = make([]NodeID, e, e+e/4)
+	}
+	dst.flat = dst.flat[:e]
+	s.patchSrc, s.patchDst = src, dst
+	if s.tiles == 1 {
+		s.patchRange(0, n)
+	} else {
+		s.runTiled(phasePatch)
+	}
+}
+
+// patchRange merges rows [lo, hi) of patchSrc with their flip lists into
+// patchDst; rows without flips are copied verbatim.
+func (s *Sim) patchRange(lo, hi int) {
+	src, dst := s.patchSrc, s.patchDst
+	co := s.chgOff
+	for i := lo; i < hi; i++ {
+		if co[i] == co[i+1] {
+			// A run of rows without flips keeps its degrees, so it
+			// copies over in one block.
+			k := i + 1
+			for k < hi && co[k] == co[k+1] {
+				k++
+			}
+			copy(dst.flat[dst.off[i]:dst.off[k]], src.flat[src.off[i]:src.off[k]])
+			i = k - 1
+			continue
+		}
+		d := dst.flat[dst.off[i]:dst.off[i+1]]
+		old := src.row(NodeID(i))
+		c := s.chg[co[i]:co[i+1]]
+		k, oi := 0, 0
+		for _, e := range c {
+			// Copy the run of old entries below j, then apply the flip.
+			at, _ := FindID(old[oi:], NodeID(e>>1))
+			k += copy(d[k:], old[oi:oi+at])
+			oi += at
+			if e&1 == 1 {
+				d[k] = NodeID(e >> 1)
+				k++
+			} else {
+				oi++ // old[oi] == j: the link broke
+			}
+		}
+		copy(d[k:], old[oi:])
+	}
+}
+
+// filterRows rebuilds adj as geo filtered by the medium (a dead node
+// has no links, a cut severs its pair) and sets s.events to the changes
+// against prevAdj. Three phases: filter (per tile: rows land in per-tile
+// arenas, each row's events in the tile's event list), prefix-sum
+// (serial), fill (per tile). Tiles are ascending node ranges, so their
+// event lists concatenate in ascending (A, B) order.
+func (s *Sim) filterRows() {
 	n := s.cfg.N
 	if s.tiles == 1 {
-		s.gatherRange(0, 0, n)
+		s.filterRange(0, 0, n)
 	} else {
-		s.runTiled(phaseGather)
+		s.runTiled(phaseFilter)
 	}
-
 	off := s.adj.off
 	off[0] = 0
 	for i := 0; i < n; i++ {
@@ -658,96 +785,70 @@ func (s *Sim) rebuildRows() {
 		s.adj.flat = make([]NodeID, e, e+e/4)
 	}
 	s.adj.flat = s.adj.flat[:e]
-
 	if s.tiles == 1 {
 		s.fillRange(0, 0, n)
 	} else {
 		s.runTiled(phaseFill)
 	}
+	for _, ev := range s.tileEv {
+		s.events = append(s.events, ev...)
+	}
+	s.filtered += int64(n)
 }
 
-// gatherRange runs the gather phase for rows [lo, hi) into tile t's
-// arena. Requeried rows are recomputed from the index (already sorted
-// ascending — the canonical CSR representation); clean rows only record
-// their previous degree. With a medium active every row is requeried,
-// dead rows become empty, and live pairs pass through the fault filter.
-func (s *Sim) gatherRange(t, lo, hi int) {
+// filterRange runs the filter phase for rows [lo, hi) into tile t's
+// arena and event list.
+func (s *Sim) filterRange(t, lo, hi int) {
 	arena := s.arenas[t][:0]
-	if s.medium == nil {
-		for i := lo; i < hi; i++ {
-			if s.index.Requery(i) {
-				start := int32(len(arena))
-				arena = s.index.Row(i, arena)
-				s.rowStart[i] = start
-				s.deg[i] = int32(len(arena)) - start
-				s.changed[i] = true
-			} else {
-				s.deg[i] = s.prevAdj.off[i+1] - s.prevAdj.off[i]
-				s.changed[i] = false
+	evs := s.tileEv[t][:0]
+	for i := lo; i < hi; i++ {
+		start := len(arena)
+		id := NodeID(i)
+		if s.alive[i] {
+			for _, j := range s.geo.row(id) {
+				if s.alive[j] && !s.medium.Cut(id, j) {
+					arena = append(arena, j)
+				}
 			}
 		}
-	} else {
-		for i := lo; i < hi; i++ {
-			start := int32(len(arena))
-			if s.alive[i] {
-				arena = s.index.RowFiltered(i, arena, &s.filt)
-			}
-			s.rowStart[i] = start
-			s.deg[i] = int32(len(arena)) - start
-			s.changed[i] = true
-		}
+		s.rowStart[i] = int32(start)
+		s.deg[i] = int32(len(arena) - start)
+		evs = s.rowEvents(evs, id, s.prevAdj.row(id), arena[start:])
 	}
 	s.arenas[t] = arena
+	s.tileEv[t] = evs
 }
 
-// fillRange runs the fill phase for rows [lo, hi): requeried rows copy
-// out of tile t's arena, clean rows copy straight from prevAdj.
+// rowEvents appends the events of row i's change from oldL to newL,
+// both ascending: one per partner j > i whose membership differs, in
+// ascending j, so each unordered pair yields one event.
+func (s *Sim) rowEvents(evs []LinkEvent, i NodeID, oldL, newL []NodeID) []LinkEvent {
+	oi, ni := 0, 0
+	for oi < len(oldL) || ni < len(newL) {
+		switch {
+		case oi >= len(oldL) || (ni < len(newL) && newL[ni] < oldL[oi]):
+			if j := newL[ni]; j > i {
+				evs = append(evs, s.makeEvent(i, j, true))
+			}
+			ni++
+		case ni >= len(newL) || oldL[oi] < newL[ni]:
+			if j := oldL[oi]; j > i {
+				evs = append(evs, s.makeEvent(i, j, false))
+			}
+			oi++
+		default:
+			oi++
+			ni++
+		}
+	}
+	return evs
+}
+
+// fillRange copies the filtered rows [lo, hi) out of tile t's arena.
 func (s *Sim) fillRange(t, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst := s.adj.flat[s.adj.off[i]:s.adj.off[i+1]]
-		if s.changed[i] {
-			src := s.arenas[t][s.rowStart[i] : int(s.rowStart[i])+len(dst)]
-			for k, v := range src {
-				dst[k] = NodeID(v)
-			}
-		} else {
-			copy(dst, s.prevAdj.row(NodeID(i)))
-		}
-	}
-}
-
-// diffAdjacency emits LinkEvents comparing prevAdj to adj. Only rows
-// that were requeried this tick can differ — an unflagged row was
-// spliced over verbatim, and any pair flip flags both endpoint rows —
-// so clean rows are skipped without scanning. Each unordered pair
-// yields at most one event; ordering is by (A, B) within ups after
-// downs per node scan order, which is deterministic and identical to a
-// full-scan diff.
-func (s *Sim) diffAdjacency() {
-	s.events = s.events[:0]
-	for i := 0; i < s.cfg.N; i++ {
-		if !s.changed[i] {
-			continue
-		}
-		oldL, newL := s.prevAdj.row(NodeID(i)), s.adj.row(NodeID(i))
-		oi, ni := 0, 0
-		for oi < len(oldL) || ni < len(newL) {
-			switch {
-			case oi >= len(oldL) || (ni < len(newL) && newL[ni] < oldL[oi]):
-				if j := newL[ni]; j > NodeID(i) {
-					s.events = append(s.events, s.makeEvent(NodeID(i), j, true))
-				}
-				ni++
-			case ni >= len(newL) || oldL[oi] < newL[ni]:
-				if j := oldL[oi]; j > NodeID(i) {
-					s.events = append(s.events, s.makeEvent(NodeID(i), j, false))
-				}
-				oi++
-			default:
-				oi++
-				ni++
-			}
-		}
+		copy(dst, s.arenas[t][s.rowStart[i]:])
 	}
 }
 

@@ -5,14 +5,15 @@ import (
 	"sync"
 )
 
-// Tile-parallel topology rebuild. Tiles are contiguous node-ID ranges:
-// each worker gathers and fills only its own rows, so all writes
-// (per-tile arenas, deg/rowStart/changed entries, flat CSR segments)
-// are disjoint by construction, and the serial prefix-sum between the
-// two phases is the only cross-tile synchronization point. Because row
-// contents are canonical (sorted ascending) and tile boundaries depend
-// only on N and the tile count, the assembled adjacency — and every
-// event diffed from it — is byte-identical for any worker count.
+// Tile-parallel topology update. Tiles are contiguous node-ID ranges:
+// each worker patches, filters or fills only its own rows, so all writes
+// (per-tile arenas and event lists, deg/rowStart entries, flat CSR
+// segments) are disjoint by construction, and the serial prefix-sums
+// before the patch and between filter and fill are the only cross-tile
+// synchronization points. Because row contents are canonical (sorted
+// ascending), tile boundaries depend only on N and the tile count, and
+// tile event lists concatenate in node order, the assembled adjacency
+// and every event are byte-identical for any worker count.
 //
 // Workers live in one process-wide pool shared by all Sims (a Sim has
 // no Close hook, so per-Sim goroutines would leak). Jobs are plain
@@ -24,7 +25,8 @@ import (
 // cannot deadlock.
 
 const (
-	phaseGather uint8 = iota
+	phasePatch uint8 = iota
+	phaseFilter
 	phaseFill
 )
 
@@ -75,9 +77,12 @@ func (s *Sim) runTile(phase uint8, t int) {
 	n := s.cfg.N
 	lo := n * t / s.tiles
 	hi := n * (t + 1) / s.tiles
-	if phase == phaseGather {
-		s.gatherRange(t, lo, hi)
-	} else {
+	switch phase {
+	case phasePatch:
+		s.patchRange(lo, hi)
+	case phaseFilter:
+		s.filterRange(t, lo, hi)
+	default:
 		s.fillRange(t, lo, hi)
 	}
 }

@@ -425,8 +425,9 @@ func (s *Sim) computeAdjacency() [][]netsim.NodeID {
 // diffEvents reports every topology change between the previous and the
 // current tick by naive membership testing: for each node i, every
 // candidate partner j > i is looked up in both the old and the new
-// neighbor sets. Events therefore come out grouped by i and ascending in
-// j — the same deterministic order the optimized merge walk produces.
+// neighbor sets. Events therefore come out in ascending (A, B) order,
+// ups and downs interleaved — the order the optimized engine emits its
+// sorted pair flips in, which the lockstep matrix enforces.
 func (s *Sim) diffEvents() []netsim.LinkEvent {
 	var events []netsim.LinkEvent
 	n := s.cfg.N

@@ -82,8 +82,11 @@ type Hybrid struct {
 
 	env      netsim.Env
 	prevHead []netsim.NodeID
-	stats    Stats
-	cache    map[[2]netsim.NodeID][]netsim.NodeID
+	// members is OnLinkEvent's scratch list of the broken cluster's
+	// members, sized for every node so a table round never allocates.
+	members []netsim.NodeID
+	stats   Stats
+	cache   map[[2]netsim.NodeID][]netsim.NodeID
 }
 
 var (
@@ -117,6 +120,7 @@ func (h *Hybrid) snapshotHeads() {
 	n := h.env.NumNodes()
 	if h.prevHead == nil {
 		h.prevHead = make([]netsim.NodeID, n)
+		h.members = make([]netsim.NodeID, 0, n)
 	}
 	for i := 0; i < n; i++ {
 		h.prevHead[i] = h.cl.HeadOf(netsim.NodeID(i))
@@ -144,7 +148,7 @@ func (h *Hybrid) OnLinkEvent(ev netsim.LinkEvent) {
 	if ca != ev.A && ca != ev.B {
 		return
 	}
-	var members []netsim.NodeID
+	members := h.members[:0]
 	for i, head := range h.prevHead {
 		if head == ca {
 			members = append(members, netsim.NodeID(i))

@@ -5,136 +5,195 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/mobility"
 )
 
-// PairFilter gates candidate pairs during a filtered row query. The
-// engine uses it to apply radio-medium state (dead nodes, cut links)
-// without the index importing the simulator.
-type PairFilter interface {
-	// Allow reports whether the pair (i, j) may be linked. It is always
-	// called with the query row i first.
-	Allow(i, j int32) bool
+// Flip is one change of a pair's link state found by Begin: the pair
+// (A, B), A < B, came within the radius (Up) or left it.
+type Flip struct {
+	A, B int32
+	Up   bool
 }
 
 // IndexStats counts the work the incremental index performed.
 type IndexStats struct {
 	// Ticks is the number of Begin calls since construction.
 	Ticks int64
-	// RequeriedRows is the total number of rows flagged for
-	// recomputation across all ticks (including the initial full build).
+	// RequeriedRows counts the adjacency rows the index rebuilt or
+	// patched: every row at the initial build, then each Begin's
+	// distinct flip endpoints — the rows whose neighbor list changed.
 	RequeriedRows int64
-	// SkinRebuilds is the number of row gathers that rebuilt the row's
-	// skin list from the cell window because the list had expired or
-	// gone stale; every other gather only filtered the list. Its ratio
-	// to RequeriedRows is the skin-rebuild fraction.
-	SkinRebuilds int64
+	// PairChecks is the number of pair certificates evaluated with an
+	// exact distance: due pairs, new window entrants and a teleporter's
+	// pairs. It is the index's per-tick work.
+	PairChecks int64
+	// WindowScans is the number of window scans: a node whose cell
+	// changed scans the cells its window gained, a teleporter its whole
+	// window, and the initial build every window.
+	WindowScans int64
 	// Teleports is the number of teleport steps (border wraps under the
-	// square metric) that Begin patched into the skin lists.
+	// square metric) whose pairs Begin re-checked.
 	Teleports int64
 }
 
 // Index is an incrementally maintained spatial index over a population of
-// moving positions. Unlike Grid, which is rebuilt from scratch every
-// tick, Index keeps its cell buckets current by moving only the nodes
-// whose cell changed, and tells the caller which neighbor rows actually
-// need recomputation ("requery") each tick. A row can be skipped soundly
-// while the total displacement budget since its last recomputation stays
-// below the row's cached distance margin to the nearest link flip.
+// moving positions. It keeps its cell buckets current by moving only the
+// nodes whose cell changed, and it maintains the geometric adjacency
+// (the pairs within the query radius) by kinetic pair certificates, in
+// the manner of kinetic data structures (Basch, Guibas & Hershberger,
+// SODA 1997).
 //
-// Each row also keeps a Verlet skin list: every node within
-// radius+marginCap of the row's node when the list was built, ascending.
-// While the row's drift budget since that build stays below marginCap,
-// no node outside the list can have come within the radius, so a
-// requeried row filters its list with exact distances instead of
-// scanning the cell window, and comes out sorted without a sort. Only an
-// expired or stale list is rebuilt from the window.
+// The tracked pairs are exactly the pairs whose cells lie within the
+// radius of each other (the cell rectangles' distance): the window
+// relation, a superset of the links that depends on cells alone. Each
+// tracked pair (i, j), i < j, is stored once, in node i's list, with its
+// current link state and a due key: a certificate that the link state
+// cannot change before it. It may fire early, never late. A calendar
+// files every node under the earliest key of its list, and Begin
+// re-checks only the pairs whose key has come due, so its work follows
+// link flips and cell changes, not node degree. A node whose cell
+// changes drops the pairs that left its window and certifies only the
+// new entrants; a teleporter (a step over half a cell, e.g. a border
+// wrap under the square metric) voids its certificates, so its whole
+// window is re-checked.
 //
-// The contract: after Begin, the adjacency row of every node i with
-// Requery(i) == false is guaranteed identical to the row a full rescan
-// would produce, so the caller may reuse its previous row verbatim. Rows
-// are gathered with Row/RowFiltered, which return candidates sorted
-// ascending — the canonical CSR representation, making the incremental
-// path bit-compatible with a from-scratch rebuild.
+// Begin returns the pairs whose link state flipped since the previous
+// call, sorted ascending by (A, B): applied to the previous adjacency
+// they give the adjacency a full rescan would produce.
 //
-// Index is not safe for concurrent mutation; Begin must run alone.
-// Row/RowFiltered calls for distinct i may run concurrently (they write
-// only per-row state).
+// Index is not safe for concurrent use.
 type Index struct {
 	metric    geom.Metric
 	radius    float64
 	r2        float64
 	cells     int
 	cellSize  float64
-	span      int     // cells scanned on each side of a query cell
-	wholeAxis bool    // scan window covers the whole grid
-	marginCap float64 // span·cellSize − radius: the skin width s
+	span      int  // window half-width in cells: floor(radius/cellSize)+1
+	wholeAxis bool // 2·span+1 ≥ cells: window offsets alias on the torus
+	torus     bool
 	theta     float64 // step length above which a move counts as a teleport
-	invDenom  float64 // 1/(2·radius + marginCap): sqrt-free margin lower bound
-	cullR2    float64 // (radius + marginCap)²: the skin reach
+	eps       float64 // distance band absorbing floating-point daylight
 
 	pos    []geom.Vec2 // caller's live position slice
 	last   []geom.Vec2 // positions at the previous Begin
 	cellOf []int32     // current cell per node
+	xy     []uint32    // its coordinates, cx<<16 | cy
 	slot   []int32     // position of node i inside bucket[cellOf[i]]
 	bucket [][]int32   // per-cell member lists (order deterministic, not sorted)
-	// bpos mirrors bucket with each member's position, refreshed every
-	// Begin: window scans then read candidate positions sequentially
-	// from the cell instead of gathering them from pos[j] all over the
-	// flat array.
-	bpos [][]geom.Vec2
+	// cellGap[d+cells−1] is the cell distance for a coordinate delta d:
+	// |d|, or its minimum image on the torus, capped at span+1. Cells gx
+	// and gy apart along the axes are near when gx ≤ reach[gy]; reach
+	// [span+1] is −1, as such cells are never near.
+	cellGap []int32
+	reach   []int32
+	// strips[(sx+1)*3+sy+1] lists the offsets (dx, dy) of the cells near
+	// a cell but not near its neighbor at offset (sx, sy).
+	strips [9][][2]int8
 
-	// Per-row requery bookkeeping: row i was last recomputed when the
-	// node's cumulative path length was baseA[i] and the global drift
-	// budget was baseG[i]; it must be recomputed once
-	// (stepSum[i]−baseA[i]) + (gSum−baseG[i]) reaches margin[i].
-	stepSum []float64
-	baseA   []float64
-	baseG   []float64
-	margin  []float64
-	gSum    float64
+	// gSum is the global drift budget: the sum of every Begin's largest
+	// non-teleport step. It bounds every node's path between Begins.
+	gSum float64
 
-	// Per-row skin lists, built when the path length was skinA[i] and
-	// the global drift budget skinG[i]; a list expires once
-	// (stepSum[i]−skinA[i]) + (gSum−skinG[i]) reaches marginCap, and a
-	// stale one (its own node teleported, or a fallback tick) is rebuilt
-	// on the next gather.
-	skin         [][]int32
-	skinA        []float64
-	skinG        []float64
-	stale        []bool
-	skinMean     int // mean list length of a uniform placement
-	skinRebuilds atomic.Int64
+	// up[i] holds the pairs (i, j), j > i; lo[i] the partners j < i
+	// whose lists hold (j, i); both unordered. Under the drift
+	// tier, due[i][k] is the gSum up to which up[i][k]'s certificate
+	// holds.
+	up      [][]entry
+	due     [][]float64
+	lo      [][]int32
+	mark    []uint32 // rewindow scratch: per-node stamps
+	ndoomed []int32  // per node: its pairs listed in doomed
+	stamp   uint32
+	rowSeen []int64 // Ticks stamp of the rows counted this Begin
 
-	requery  []bool
-	telep    []int32     // scratch: this tick's teleporters
-	teleFrom []geom.Vec2 // scratch: their pre-move positions
-	near     []int32     // scratch: Begin's neighborhood queries
+	// The calendar: a ring of calLen doubly linked node lists, one per
+	// key; node i is filed under nkey[i], no later than the earliest key
+	// in up[i]. The clock is the last key drained. Keys are ticks under
+	// the kinematic tier and multiples of quantum of gSum under the drift
+	// tier; drainedG is the gSum the drift tier last drained at.
+	heads        []int32
+	nkey         []uint32
+	nprev, nnext []int32
+	clock        int64
+	quantum      float64
+	drainedG     float64
+	tick         int64
+	kin          *kinematics // nil: drift tier
+	built        bool
+	burst        bool // the flip scratch still holds the build's all-links burst
+
+	flips    []Flip
+	flipKeys []uint64 // A<<33 | B<<1 | up per flip, the sort's input
+	keysTmp  []uint64 // sortFlips scratch
+	byA      []int32  // sortFlips scratch: per-node counts, len N+1
+	telep    []int32  // scratch: this tick's teleporters
+	doomed   []uint64 // scratch: a<<32 | b of pairs a move may have taken out of window
+	entrants []int32  // scratch: a teleporter's new window entrants
+	win      []int32  // scratch: window cells
 
 	stats IndexStats
 }
 
+// entry is one tracked pair (i, j), j > i, in up[i]: the partner with
+// two flag bits, and the calendar key of its certificate modulo 2³²
+// (compared with wraparound: keys are never calLen or more from the
+// clock).
+type entry struct {
+	j   uint32
+	key uint32
+}
+
+const (
+	linkedBit = 1 << 31 // the pair is within the radius
+	doomedBit = 1 << 30 // listed for the window check at the end of the moves
+	idMask    = doomedBit - 1
+)
+
+// kinematics is the state of the kinematic certificate tier: the model's
+// speed bound and, per node, the velocity and its hold time as filled at
+// tick filled.
+type kinematics struct {
+	model  mobility.Predictable
+	pop    *mobility.Population
+	dt     float64
+	invDt  float64
+	vmax   float64
+	vel    []geom.Vec2
+	hold   []float64
+	exact  bool // the last fill reported closed-form kinematics
+	filled int64
+}
+
 // indexBeta is the slack factor applied to the query radius when sizing
-// the scan window: the window reaches radius·(1+indexBeta), so the skin
-// width marginCap is about indexBeta·radius. A wider skin lets lists
-// survive more ticks but makes each one longer to filter: on Figures 1–3
-// 0.3 rebuilt 20% of requeried rows' lists against 35% at 0.15, yet ran
-// them in the same time, so the narrower, smaller lists stay.
+// the cells: indexSpan cells span radius·(1+indexBeta). With indexSpan
+// it trades cell changes (each scans the cells its window gained and
+// lost) against window size (every tracked pair is re-certified at least
+// once per velocity hold, and costs 12 bytes). On Figures 1–3 (2-CPU
+// host, one pass ≈ 2.0–2.4 s), spans 3 and 4 with indexBeta 0, 0.15 and
+// 0.3 all ran within the host's ±5% noise of each other, while tracked
+// pairs per link ranged from 1.5 to 2.7; span 4 at 0.15 tracks 1.8.
 const indexBeta = 0.15
 
 // indexSpan is the cell count the slackened radius is split into per
-// axis: finer cells hug the skin disc tighter, so a rebuild visits
-// ~π(r+cap)² worth of candidates instead of the 9 r² of a radius-sized
-// 3×3 block.
-const indexSpan = 2
+// axis: finer cells hug the radius tighter, so a window tracks fewer
+// far pairs, at the price of more frequent cell changes.
+const indexSpan = 4
+
+// calLen is the calendar's ring length, a power of two: a certificate
+// reaches at most calLen−1 keys ahead of the clock, and longer ones are
+// cut there (early is always sound).
+const calLen = 256
+
+// driftKeys is the number of drift-tier keys per cell width: the finer
+// the keys, the closer a pair is re-checked to its certificate.
+const driftKeys = 64
 
 // NewIndex builds an incremental index over pos, tuned for neighbor
 // queries of the given radius. The slice is retained and read on every
-// Begin; the caller mutates positions in place between ticks. All rows
-// start flagged for requery with stale skin lists, so the first gather
-// performs the full build.
+// Begin; the caller mutates positions in place between ticks. The first
+// Begin builds every window and reports every linked pair as an up flip.
 func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, error) {
 	if radius <= 0 {
 		return nil, fmt.Errorf("space: radius must be positive, got %g", radius)
@@ -155,32 +214,67 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 		r2:       radius * radius,
 		cells:    cells,
 		cellSize: side / float64(cells),
+		torus:    metric.Kind() == geom.MetricTorus,
+		eps:      side * 1e-9,
 		pos:      pos,
 		last:     make([]geom.Vec2, n),
 		cellOf:   make([]int32, n),
+		xy:       make([]uint32, n),
 		slot:     make([]int32, n),
 		bucket:   make([][]int32, cells*cells),
-		bpos:     make([][]geom.Vec2, cells*cells),
-		stepSum:  make([]float64, n),
-		baseA:    make([]float64, n),
-		baseG:    make([]float64, n),
-		margin:   make([]float64, n),
-		skin:     make([][]int32, n),
-		skinA:    make([]float64, n),
-		skinG:    make([]float64, n),
-		stale:    make([]bool, n),
-		requery:  make([]bool, n),
+		up:       make([][]entry, n),
+		due:      make([][]float64, n),
+		lo:       make([][]int32, n),
+		mark:     make([]uint32, n),
+		ndoomed:  make([]int32, n),
+		rowSeen:  make([]int64, n),
+		heads:    make([]int32, calLen),
+		nkey:     make([]uint32, n),
+		nprev:    make([]int32, n),
+		nnext:    make([]int32, n),
+		byA:      make([]int32, n+1),
 	}
-	// floor+1 rather than ceil keeps the skin strictly positive when the
-	// radius is an exact multiple of the cell size.
 	x.span = int(math.Floor(x.radius/x.cellSize)) + 1
 	x.wholeAxis = 2*x.span+1 >= x.cells
-	x.marginCap = float64(x.span)*x.cellSize - x.radius
 	x.theta = x.cellSize / 2
-	x.invDenom = 1 / (2*x.radius + x.marginCap)
-	reach := x.radius + x.marginCap
-	x.cullR2 = reach * reach
+	x.quantum = x.cellSize / driftKeys
+	x.cellGap = make([]int32, 2*cells-1)
+	for d := -(cells - 1); d < cells; d++ {
+		g := int32(abs(d))
+		if x.torus {
+			g = min(g, int32(cells)-g)
+		}
+		x.cellGap[d+cells-1] = min(g, int32(x.span+1))
+	}
+	x.reach = make([]int32, x.span+2)
+	for dy := 0; dy <= x.span+1; dy++ {
+		x.reach[dy] = -1
+		for dx := 0; dy <= x.span && dx <= x.span; dx++ {
+			// The rectangles' distance: whole cells strictly between them.
+			gx := float64(max(dx-1, 0)) * x.cellSize
+			gy := float64(max(dy-1, 0)) * x.cellSize
+			if gx*gx+gy*gy <= x.r2 {
+				x.reach[dy] = int32(dx)
+			}
+		}
+	}
+	if !x.wholeAxis {
+		for sx := -1; sx <= 1; sx++ {
+			for sy := -1; sy <= 1; sy++ {
+				for dy := -x.span; dy <= x.span; dy++ {
+					for dx := -x.span; dx <= x.span; dx++ {
+						if x.nearOffset(dx, dy) && !x.nearOffset(dx-sx, dy-sy) {
+							x.strips[(sx+1)*3+sy+1] = append(x.strips[(sx+1)*3+sy+1], [2]int8{int8(dx), int8(dy)})
+						}
+					}
+				}
+			}
+		}
+	}
 	copy(x.last, pos)
+	for k := range x.heads {
+		x.heads[k] = -1
+	}
 	// Pre-size every bucket with headroom over its initial occupancy:
 	// cell-crossers otherwise keep tripping append growth in moveBucket
 	// for thousands of ticks while per-cell maxima creep toward the
@@ -191,38 +285,48 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 		counts[x.cellIndex(pos[i])]++
 	}
 	for c, cnt := range counts {
-		capc := int(cnt) + int(cnt)/2 + 4
-		x.bucket[c] = make([]int32, 0, capc)
-		x.bpos[c] = make([]geom.Vec2, 0, capc)
+		x.bucket[c] = make([]int32, 0, int(cnt)+int(cnt)/2+4)
 	}
 	for i := range pos {
 		c := int32(x.cellIndex(pos[i]))
 		x.cellOf[i] = c
+		x.xy[i] = x.coords(c)
 		x.slot[i] = int32(len(x.bucket[c]))
 		x.bucket[c] = append(x.bucket[c], int32(i))
-		x.bpos[c] = append(x.bpos[c], pos[i])
-		x.requery[i] = true
-		x.stale[i] = true
 	}
-	// Size every skin list for 1.5× the mean list length of a uniform
-	// placement; freshSkin regrows the lists that outgrow it.
-	x.skinMean = int(float64(n-1) * min(1, math.Pi*x.cullR2/(side*side)))
-	for i := range x.skin {
-		x.skin[i] = make([]int32, 0, x.skinCap(0))
-	}
-	x.stats.RequeriedRows += int64(n)
 	return x, nil
+}
+
+// UseKinematics switches the index to the kinematic certificate tier for
+// a model with a speed bound: pair keys become ticks, each the speed-bound
+// (Lipschitz) certificate or, where the model fills closed-form
+// kinematics, the closed-form next radius crossing within the velocity
+// hold if that is later. pop must be the population whose Pos the index
+// reads and dt the tick length; Begin must then be passed the tick
+// number. A model without a positive speed bound keeps the drift tier,
+// which needs no model. It must be called before the first Begin.
+func (x *Index) UseKinematics(m mobility.Predictable, pop *mobility.Population, dt float64) {
+	if x.built || m.SpeedBound() <= 0 {
+		return
+	}
+	n := len(x.pos)
+	x.kin = &kinematics{
+		model:  m,
+		pop:    pop,
+		dt:     dt,
+		invDt:  1 / dt,
+		vmax:   m.SpeedBound(),
+		vel:    make([]geom.Vec2, n),
+		hold:   make([]float64, n),
+		filled: -1,
+	}
 }
 
 // Radius reports the query radius the index was tuned for.
 func (x *Index) Radius() float64 { return x.radius }
 
 // Stats returns the accumulated work counters.
-func (x *Index) Stats() IndexStats {
-	st := x.stats
-	st.SkinRebuilds = x.skinRebuilds.Load()
-	return st
-}
+func (x *Index) Stats() IndexStats { return x.stats }
 
 // cellIndex maps a position to its cell, clamping strays at the border.
 func (x *Index) cellIndex(p geom.Vec2) int {
@@ -252,319 +356,675 @@ func (x *Index) moveBucket(i, oldC, newC int32) {
 	b[s] = moved
 	x.slot[moved] = s
 	x.bucket[oldC] = b[:lastIdx]
-	bp := x.bpos[oldC]
-	bp[s] = bp[lastIdx]
-	x.bpos[oldC] = bp[:lastIdx]
 
 	x.slot[i] = int32(len(x.bucket[newC]))
 	x.bucket[newC] = append(x.bucket[newC], i)
-	x.bpos[newC] = append(x.bpos[newC], x.pos[i])
 	x.cellOf[i] = newC
+	x.xy[i] = x.coords(newC)
 }
 
-// Begin advances the index one tick: it measures every node's step,
-// patches cell membership for boundary crossers, patches the skin lists
-// around teleporters, and decides which rows need recomputation. With
-// forceAll (radio-medium pathologies can flip links without any motion)
-// every row is flagged. Returns the number of flagged rows; zero means
-// the adjacency provably did not change.
-func (x *Index) Begin(forceAll bool) int {
+// coords packs cell c's coordinates as cx<<16 | cy.
+func (x *Index) coords(c int32) uint32 {
+	return uint32(c%int32(x.cells))<<16 | uint32(c/int32(x.cells))
+}
+
+// Begin advances the index to the given tick and returns the pairs whose
+// link state flipped since the previous call, ascending by (A, B). The
+// slice is reused by the next call. It measures every node's step and
+// moves the nodes whose cell changed one at a time, each certifying the
+// entrants of its window; then it re-checks every teleporter's window,
+// drops the pairs whose cells drifted apart, and re-checks the pairs
+// whose certificate came due. The tick matters only under the kinematic
+// tier; ticks may be skipped. No motion means no flips and no work
+// beyond the O(N) step pass.
+func (x *Index) Begin(tick int64) []Flip {
 	n := len(x.pos)
 	x.stats.Ticks++
+	x.tick = tick
+	if !x.built {
+		x.build()
+		return x.flips
+	}
+	if x.burst {
+		// Let go of the scratch the initial build's all-links burst grew.
+		x.flips, x.flipKeys, x.keysTmp = nil, nil, nil
+		x.burst = false
+	}
+	x.flips = x.flips[:0]
+	x.flipKeys = x.flipKeys[:0]
 	x.telep = x.telep[:0]
-	x.teleFrom = x.teleFrom[:0]
 	maxStep := 0.0
 	for i := 0; i < n; i++ {
 		d := x.metric.Dist(x.last[i], x.pos[i])
-		x.stepSum[i] += d
-		oldC := x.cellOf[i]
-		newC := int32(x.cellIndex(x.pos[i]))
-		if newC != oldC {
-			x.moveBucket(int32(i), oldC, newC)
-		}
-		if d > x.theta {
-			// A teleport (e.g. a border wrap under the square metric):
-			// excluded from the shared drift budget, patched into the
-			// skin lists below.
-			x.telep = append(x.telep, int32(i))
-			x.teleFrom = append(x.teleFrom, x.last[i])
-		} else if d > maxStep {
-			maxStep = d
-		}
 		x.last[i] = x.pos[i]
-		x.bpos[x.cellOf[i]][x.slot[i]] = x.pos[i]
+		if d > x.theta {
+			// A teleport: excluded from the drift budget, moved and
+			// re-checked below.
+			x.telep = append(x.telep, int32(i))
+			continue
+		}
+		maxStep = max(maxStep, d)
+		// Moving nodes one at a time keeps every window exact: the
+		// cells node i gains are judged against the other nodes' cells
+		// as they stand, moved or not. Judged against their final cells
+		// instead, two nodes that close the gap between their windows on
+		// the same tick would each see the other in a cell it already
+		// had.
+		if c := int32(x.cellIndex(x.pos[i])); c != x.cellOf[i] {
+			x.shift(int32(i), c)
+		}
 	}
 	x.gSum += maxStep
 	x.stats.Teleports += int64(len(x.telep))
-
-	if len(x.telep) > n/16 || maxStep >= x.marginCap {
-		// Too many teleporters to patch, or a step that spends every
-		// skin at once (and outreaches the window the old-position
-		// query scans): start every row and every list afresh.
-		for i := range x.requery {
-			x.requery[i] = true
-			x.stale[i] = true
-		}
-		x.stats.RequeriedRows += int64(n)
-		return n
-	}
-	for i := 0; i < n; i++ {
-		x.requery[i] = forceAll || x.stepSum[i]-x.baseA[i]+x.gSum-x.baseG[i] >= x.margin[i]
+	// Teleporters move after everyone else and all at once, so each
+	// rewindow sees every other node where it ends the tick: a pair of
+	// teleporters is then re-checked, never dropped and re-added.
+	for _, j := range x.telep {
+		x.moveBucket(j, x.cellOf[j], int32(x.cellIndex(x.pos[j])))
 	}
 	for _, j := range x.telep {
-		x.stale[j] = true
-		x.requery[j] = true
+		x.rewindow(j)
 	}
-	oldReach := x.radius + maxStep
-	for k, j := range x.telep {
-		// Every row that held j last tick lies within radius of j's old
-		// position as it was then, and has since moved at most maxStep.
-		x.near = x.within(x.teleFrom[k], oldReach*oldReach, j, x.near[:0])
-		for _, i := range x.near {
-			x.requery[i] = true
+	for _, ab := range x.doomed {
+		a, b := int32(ab>>32), int32(uint32(ab))
+		x.ndoomed[a]--
+		x.ndoomed[b]--
+		k, ok := x.find(a, b)
+		if !ok || x.up[a][k].j&doomedBit == 0 {
+			continue // dropped by a rewindow
 		}
-		// Every row that j can reach before that row's skin expires lies
-		// within radius+marginCap of j's new position: j joins its list.
-		x.near = x.within(x.pos[j], x.cullR2, j, x.near[:0])
-		for _, i := range x.near {
-			x.requery[i] = true
-			x.insertSkin(i, j)
+		x.up[a][k].j &^= doomedBit
+		if !x.near(x.xy[a], x.xy[b]) {
+			x.drop(a, k)
 		}
 	}
-	dirty := 0
-	for _, r := range x.requery {
-		if r {
-			dirty++
-		}
+	x.doomed = x.doomed[:0]
+	x.drain()
+	x.sortFlips()
+	for _, f := range x.flips {
+		x.countRow(f.A)
+		x.countRow(f.B)
 	}
-	x.stats.RequeriedRows += int64(dirty)
-	return dirty
+	return x.flips
 }
 
-// insertSkin adds j to row i's skin list, keeping it ascending. A stale
-// list is rebuilt on its next gather anyway, and a list that already
-// holds j (a superset entry from before the teleport) stays as it is.
-func (x *Index) insertSkin(i, j int32) {
-	if x.stale[i] {
-		return
+// build tracks and certifies every window pair: the first Begin. Lists
+// are sized to their initial length with a quarter of headroom.
+func (x *Index) build() {
+	x.built, x.burst = true, true
+	if x.kin != nil {
+		x.clock = x.tick
 	}
-	s := x.skin[i]
-	k, found := slices.BinarySearch(s, j)
-	if found {
-		return
-	}
-	x.skin[i] = slices.Insert(s, k, j)
-}
-
-// Requery reports whether row i was flagged by the last Begin.
-func (x *Index) Requery(i int) bool { return x.requery[i] }
-
-// Row appends the indices of all nodes within the query radius of node i
-// (excluding i), sorted ascending, and returns the extended slice. It
-// also refreshes row i's requery margin: a lower bound on the distance
-// any node would have to drift to flip its link state with i. Listed
-// candidates contribute |d²−r²|/(2r+cap) ≤ |d−r| (no sqrt per
-// candidate); unlisted nodes sit at least cap − consumed beyond the
-// radius, where consumed is the skin budget already spent, so the
-// margin is capped there — which also absorbs the quotient's
-// overestimate for listed candidates beyond radius+cap. Safe to call
-// concurrently for distinct i.
-func (x *Index) Row(i int, out []int32) []int32 {
-	consumed := x.freshSkin(i)
-	p := x.pos[i]
-	// The raw |d²−r²| minimum is tracked un-normalized: one multiply at
-	// the end instead of one per candidate.
-	mRaw := math.Inf(1)
-	r2 := x.r2
-	for _, j := range x.skin[i] {
-		d2 := x.metric.Dist2(p, x.pos[j])
-		lb := d2 - r2
-		if lb < 0 {
-			lb = -lb
+	n := len(x.pos)
+	var row []entry
+	loLen := make([]int32, n)
+	for i := 0; i < n; i++ {
+		row = row[:0]
+		x.win = x.window(x.cellOf[i], x.win[:0])
+		for _, c := range x.win {
+			for _, j := range x.bucket[c] {
+				if j > int32(i) {
+					row = append(row, entry{j: uint32(j)})
+					loLen[j]++
+				}
+			}
 		}
-		if lb < mRaw {
-			mRaw = lb
-		}
-		if d2 <= r2 {
-			out = append(out, j)
+		x.up[i] = append(make([]entry, 0, grown(len(row))), row...)
+		if x.kin == nil {
+			x.due[i] = make([]float64, len(row), grown(len(row)))
 		}
 	}
-	x.margin[i] = min(mRaw*x.invDenom, x.marginCap-consumed)
-	x.baseA[i] = x.stepSum[i]
-	x.baseG[i] = x.gSum
-	return out
-}
-
-// RowFiltered is Row with a pair filter applied (radio-medium state) and
-// no margin refresh: when a medium is active every tick requeries every
-// row, so margins are never consulted. The skin lists stay valid across
-// those forced ticks, so the filter runs only on listed candidates
-// already inside the radius. Safe to call concurrently for distinct i.
-func (x *Index) RowFiltered(i int, out []int32, f PairFilter) []int32 {
-	x.freshSkin(i)
-	p := x.pos[i]
-	for _, j := range x.skin[i] {
-		if x.metric.Dist2(p, x.pos[j]) <= x.r2 && f.Allow(int32(i), j) {
-			out = append(out, j)
+	for i := 0; i < n; i++ {
+		x.lo[i] = make([]int32, 0, grown(int(loLen[i])))
+	}
+	links := 0
+	for i := 0; i < n; i++ {
+		for k, e := range x.up[i] {
+			x.lo[e.j] = append(x.lo[e.j], int32(i))
+			x.certify(int32(i), k)
+		}
+		x.fileNode(int32(i), x.earliest(int32(i)))
+		links += len(x.flipKeys)
+		x.flipKeys = x.flipKeys[:0]
+	}
+	// Every linked pair is an up flip; listing them from the lists, each
+	// node's partners sorted, rather than from the flip keys keeps the
+	// burst to one exact slice in (A, B) order.
+	x.flips = make([]Flip, 0, links)
+	for i := 0; i < n; i++ {
+		x.entrants = x.entrants[:0]
+		for _, e := range x.up[i] {
+			if e.j&linkedBit != 0 {
+				x.entrants = append(x.entrants, int32(e.j&idMask))
+			}
+		}
+		sortRow(x.entrants)
+		for _, j := range x.entrants {
+			x.flips = append(x.flips, Flip{A: int32(i), B: j, Up: true})
 		}
 	}
-	return out
+	x.stats.WindowScans += int64(n)
+	x.stats.RequeriedRows += int64(n)
 }
 
-// freshSkin rebuilds row i's skin list when it is stale or expired and
-// returns the drift budget spent since the list was built.
-func (x *Index) freshSkin(i int) float64 {
-	consumed := (x.stepSum[i] - x.skinA[i]) + (x.gSum - x.skinG[i])
-	if !x.stale[i] && consumed < x.marginCap {
-		return consumed
-	}
-	old := x.skin[i]
-	s := x.within(x.pos[i], x.cullR2, int32(i), old[:0])
-	if cap(s) != cap(old) {
-		// The list outgrew its capacity: leave headroom, as the buckets
-		// do, so teleport insertions and later rebuilds reuse it.
-		s = append(make([]int32, 0, x.skinCap(len(s))), s...)
-	}
-	if !x.wholeAxis {
-		sortRow(s)
-	}
-	x.skin[i] = s
-	x.skinA[i] = x.stepSum[i]
-	x.skinG[i] = x.gSum
-	x.stale[i] = false
-	x.skinRebuilds.Add(1)
-	return 0
+// grown is the capacity a list of length l is given: a quarter of
+// headroom, so later entrants rarely regrow it.
+func grown(l int) int { return l + l/4 + 4 }
+
+// near reports the window relation for the cells with packed
+// coordinates a and b: their rectangles lie within the radius of each
+// other (under the metric), so a pair in them may be linked. It is
+// symmetric and depends on the cells alone.
+func (x *Index) near(a, b uint32) bool {
+	c := int32(x.cells) - 1
+	gx := x.cellGap[int32(a>>16)-int32(b>>16)+c]
+	gy := x.cellGap[int32(a&0xffff)-int32(b&0xffff)+c]
+	return gx <= x.reach[gy]
 }
 
-// skinCap is the capacity a skin list of length l is given: 50%
-// headroom over l, but never less than over the mean length, so a list
-// first built in a sparse region does not keep outgrowing itself as its
-// node drifts into crowded ones.
-func (x *Index) skinCap(l int) int {
-	return min(max(l, x.skinMean)*3/2+8, len(x.pos))
+// nearOffset is near for cells at offset (dx, dy), |dx|, |dy| ≤ span+1,
+// without wrapping.
+func (x *Index) nearOffset(dx, dy int) bool {
+	return int32(abs(dx)) <= x.reach[abs(dy)]
 }
 
-// within appends to dst every node other than skip within √reach2 of p
-// (reach at most radius+marginCap) and returns the extended slice. It is
-// the index's only spatial scan: skin rebuilds and Begin's teleport
-// patch both use it. A whole-axis index visits every node in id order,
-// so its output is ascending; otherwise the order follows the window.
-func (x *Index) within(p geom.Vec2, reach2 float64, skip int32, dst []int32) []int32 {
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// window appends every cell near c to buf, each once.
+func (x *Index) window(c int32, buf []int32) []int32 {
+	cxy := x.coords(c)
 	if x.wholeAxis {
-		for j, q := range x.pos {
-			if int32(j) != skip && x.metric.Dist2(p, q) <= reach2 {
-				dst = append(dst, int32(j))
+		for k := int32(0); k < int32(x.cells*x.cells); k++ {
+			if x.near(cxy, x.coords(k)) {
+				buf = append(buf, k)
 			}
 		}
-		return dst
+		return buf
 	}
-	var wbuf [maxWindowCells]winCell
-	for _, c := range x.windowCells(p, reach2, wbuf[:0]) {
-		b := x.bucket[c.first]
-		bp := x.bpos[c.first][:len(b)]
-		for k, j := range b {
-			q := bp[k]
-			dx := p.X - q.X + c.ox
-			dy := p.Y - q.Y + c.oy
-			if dx*dx+dy*dy <= reach2 && j != skip {
-				dst = append(dst, j)
-			}
-		}
-	}
-	return dst
-}
-
-// maxWindowCells bounds the scan window: span ≤ 2 by construction
-// (cellSize ≥ radius·(1+indexBeta)/indexSpan, so floor(radius/cellSize)
-// < indexSpan), giving at most (2·span+1)² = 25 cells. The callers'
-// stack buffers use this; windowCells itself appends, so even a
-// miscounted bound would only cost a heap spill, never correctness.
-const maxWindowCells = (2*indexSpan + 1) * (2*indexSpan + 1)
-
-// winCell is one non-culled cell of a query window: the bucket index
-// plus the wrap correction applied to candidate deltas.
-type winCell struct {
-	first  int32
-	ox, oy float64
-}
-
-// windowCells appends every cell of the scan window around p whose
-// rectangle lies within √reach2 of p to buf, each carrying the wrap
-// correction (ox, oy) ∈ {−side, 0, +side}² for that cell's image:
-// candidate deltas are then dx = p.X − q.X + ox with no per-candidate
-// min-image branch or metric dispatch. Inside a non-wholeAxis window
-// (cells ≥ 2·span+2) a wrapped cell's nodes satisfy |p−q| ∈ [side/2,
-// side), exactly where the torus metric applies the same ±side shift,
-// and that addition is exact by Sterbenz's lemma, so the computed d²
-// equals Metric.Dist2.
-func (x *Index) windowCells(p geom.Vec2, reach2 float64, buf []winCell) []winCell {
-	cs := x.cellSize
-	side := x.metric.Side()
-	cx := int(p.X / cs)
-	cy := int(p.Y / cs)
-	if cx >= x.cells {
-		cx = x.cells - 1
-	}
-	if cy >= x.cells {
-		cy = x.cells - 1
-	}
-	wrap := x.metric.Kind() == geom.MetricTorus
+	cx, cy := int(cxy>>16), int(cxy&0xffff)
 	for dy := -x.span; dy <= x.span; dy++ {
-		y := cy + dy
-		// Rectangle distance along Y in unwrapped coordinates; valid on
-		// the torus too because the window spans less than half the
-		// region (non-wholeAxis), so no wrapped image is closer.
-		dym := 0.0
-		if lo := float64(y) * cs; p.Y < lo {
-			dym = lo - p.Y
-		} else if hi := float64(y+1) * cs; p.Y > hi {
-			dym = p.Y - hi
-		}
-		oy := 0.0
-		if y < 0 {
-			if !wrap {
-				continue
+		r := int(x.reach[abs(dy)])
+		for dx := -r; dx <= r; dx++ {
+			if k, ok := x.cellAt(cx+dx, cy+dy); ok {
+				buf = append(buf, k)
 			}
-			y += x.cells
-			oy = side // q sits on the high side; p−q corrects upward
-		} else if y >= x.cells {
-			if !wrap {
-				continue
-			}
-			y -= x.cells
-			oy = -side
-		}
-		rowBase := int32(y * x.cells)
-		dym2 := dym * dym
-		for dx := -x.span; dx <= x.span; dx++ {
-			cxx := cx + dx
-			dxm := 0.0
-			if lo := float64(cxx) * cs; p.X < lo {
-				dxm = lo - p.X
-			} else if hi := float64(cxx+1) * cs; p.X > hi {
-				dxm = p.X - hi
-			}
-			if dxm*dxm+dym2 > reach2 {
-				continue
-			}
-			ox := 0.0
-			if cxx < 0 {
-				if !wrap {
-					continue
-				}
-				cxx += x.cells
-				ox = side
-			} else if cxx >= x.cells {
-				if !wrap {
-					continue
-				}
-				cxx -= x.cells
-				ox = -side
-			}
-			buf = append(buf, winCell{first: rowBase + int32(cxx), ox: ox, oy: oy})
 		}
 	}
 	return buf
+}
+
+// strip appends to buf every cell near c but not near from, a cell
+// adjacent to c (one cell apart per axis at most, as a non-teleport step
+// leaves it): the offsets of those cells are tabulated once for each of
+// the eight directions.
+func (x *Index) strip(c, from int32, buf []int32) []int32 {
+	cxy, fxy := x.coords(c), x.coords(from)
+	if x.wholeAxis {
+		for k := int32(0); k < int32(x.cells*x.cells); k++ {
+			if kxy := x.coords(k); x.near(cxy, kxy) && !x.near(fxy, kxy) {
+				buf = append(buf, k)
+			}
+		}
+		return buf
+	}
+	cx, cy := int(cxy>>16), int(cxy&0xffff)
+	sx, sy := x.offset(int(fxy>>16)-cx), x.offset(int(fxy&0xffff)-cy)
+	for _, o := range x.strips[(sx+1)*3+sy+1] {
+		if k, ok := x.cellAt(cx+int(o[0]), cy+int(o[1])); ok {
+			buf = append(buf, k)
+		}
+	}
+	return buf
+}
+
+// cellAt returns the cell at coordinates (cx, cy), wrapped on the torus;
+// ok is false for coordinates off the square.
+func (x *Index) cellAt(cx, cy int) (int32, bool) {
+	if cx < 0 || cx >= x.cells || cy < 0 || cy >= x.cells {
+		if !x.torus {
+			return 0, false
+		}
+		cx, cy = (cx+x.cells)%x.cells, (cy+x.cells)%x.cells
+	}
+	return int32(cy*x.cells + cx), true
+}
+
+// offset maps a coordinate difference to the cell offset it stands for:
+// itself on the square, its minimum image on the torus.
+func (x *Index) offset(d int) int {
+	if x.torus {
+		if d > x.cells/2 {
+			d -= x.cells
+		} else if d < -x.cells/2 {
+			d += x.cells
+		}
+	}
+	return d
+}
+
+// shift moves node i (not a teleporter) into cell c. Pairs with the
+// nodes of the cells its window lost are listed, not dropped: the
+// partner may still move back into the window this Begin, and a drop
+// followed by a re-add would report a pair that stayed linked as two
+// flips. Begin drops the listed pairs still apart once every node has
+// moved. The nodes of the cells it gained are tracked and certified,
+// unless already paired (a listed pair coming back). Surviving pairs
+// keep their certificates.
+func (x *Index) shift(i, c int32) {
+	old := x.cellOf[i]
+	x.moveBucket(i, old, c)
+	x.win = x.strip(old, c, x.win[:0])
+	for _, w := range x.win {
+		for _, j := range x.bucket[w] {
+			a, b := min(i, j), max(i, j)
+			if k, ok := x.find(a, b); ok && x.up[a][k].j&doomedBit == 0 {
+				x.up[a][k].j |= doomedBit
+				x.doomed = append(x.doomed, uint64(a)<<32|uint64(b))
+				x.ndoomed[a]++
+				x.ndoomed[b]++
+			}
+		}
+	}
+	x.win = x.strip(c, old, x.win[:0])
+	for _, w := range x.win {
+		for _, j := range x.bucket[w] {
+			x.add(i, j)
+		}
+	}
+	x.stats.WindowScans++
+}
+
+// rewindow re-checks teleporter t at its new cell: every certificate
+// involving t is void, so its surviving pairs are re-evaluated, pairs
+// whose partner is no longer near are dropped, and new window entrants
+// are tracked.
+func (x *Index) rewindow(t int32) {
+	// A fresh even stamp marks t's partners; st+1 marks those still near.
+	x.stamp += 2
+	if x.stamp < 2 {
+		clear(x.mark)
+		x.stamp = 2
+	}
+	st := x.stamp
+	for _, e := range x.up[t] {
+		x.mark[e.j&idMask] = st
+	}
+	for _, j := range x.lo[t] {
+		x.mark[j] = st
+	}
+	x.entrants = x.entrants[:0]
+	x.win = x.window(x.cellOf[t], x.win[:0])
+	for _, w := range x.win {
+		for _, j := range x.bucket[w] {
+			switch {
+			case j == t:
+			case x.mark[j] == st:
+				x.mark[j] = st + 1
+			default:
+				x.entrants = append(x.entrants, j)
+			}
+		}
+	}
+	for k := 0; k < len(x.up[t]); {
+		if x.mark[x.up[t][k].j&idMask] == st {
+			x.drop(t, k)
+			continue
+		}
+		x.certify(t, k)
+		k++
+	}
+	x.refile(t, x.earliest(t))
+	for k := 0; k < len(x.lo[t]); {
+		j := x.lo[t][k]
+		at, _ := x.find(j, t)
+		if x.mark[j] == st {
+			x.drop(j, at) // removes lo[t][k]
+			continue
+		}
+		x.lower(j, x.certify(j, at))
+		k++
+	}
+	for _, j := range x.entrants {
+		x.track(min(t, j), max(t, j))
+	}
+	x.stats.WindowScans++
+}
+
+// add starts tracking the pair (i, j), unless it already is, and
+// certifies it. Outside a rewindow, a pair between a node and the
+// cells its window gained exists only if a move listed it earlier in
+// the same Begin, so the search runs only while both nodes have listed
+// pairs.
+func (x *Index) add(i, j int32) {
+	a, b := min(i, j), max(i, j)
+	if x.ndoomed[a] > 0 && x.ndoomed[b] > 0 {
+		if _, ok := x.find(a, b); ok {
+			return
+		}
+	}
+	x.track(a, b)
+}
+
+// track starts tracking the new pair (a, b), a < b, and certifies it.
+func (x *Index) track(a, b int32) {
+	x.up[a] = grow(x.up[a], entry{j: uint32(b)})
+	if x.kin == nil {
+		x.due[a] = grow(x.due[a], 0)
+	}
+	x.lo[b] = grow(x.lo[b], a)
+	x.lower(a, x.certify(a, len(x.up[a])-1))
+}
+
+// drop stops tracking the pair up[a][k], moving up[a]'s last entry into
+// its place. Its cells are apart (every node has moved when a drop is
+// made), so it is beyond the radius: a pair still marked linked flips
+// down.
+func (x *Index) drop(a int32, k int) {
+	e := x.up[a][k]
+	b := int32(e.j & idMask)
+	if e.j&linkedBit != 0 {
+		x.flip(a, b, false)
+	}
+	x.up[a] = swapRemove(x.up[a], k)
+	if x.kin == nil {
+		x.due[a] = swapRemove(x.due[a], k)
+	}
+	x.lo[b] = swapRemove(x.lo[b], slices.Index(x.lo[b], a))
+}
+
+// find returns the position of partner b in up[a] and whether it is
+// there.
+func (x *Index) find(a, b int32) (int, bool) {
+	for k, e := range x.up[a] {
+		if e.j&idMask == uint32(b) {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// grow appends v, regrowing with headroom when full.
+func grow[T any](l []T, v T) []T {
+	if len(l) == cap(l) {
+		l = append(make([]T, 0, grown(len(l)+1)), l...)
+	}
+	return append(l, v)
+}
+
+// swapRemove removes entry k by moving the last entry into its place.
+func swapRemove[T any](l []T, k int) []T {
+	last := len(l) - 1
+	l[k] = l[last]
+	return l[:last]
+}
+
+// certify evaluates the pair up[a][k] with the exact metric distance,
+// records a flip if its link state changed, and gives it a fresh
+// certificate key, which it returns.
+func (x *Index) certify(a int32, k int) uint32 {
+	e := &x.up[a][k]
+	b := int32(e.j & idMask)
+	pa, pb := x.pos[a], x.pos[b]
+	d2 := x.metric.Dist2(pa, pb)
+	if linked := d2 <= x.r2; linked != (e.j&linkedBit != 0) {
+		e.j ^= linkedBit
+		x.flip(a, b, linked)
+	}
+	x.stats.PairChecks++
+	d := math.Sqrt(d2)
+	gap := math.Abs(d-x.radius) - x.eps
+	var key, lo int64
+	if x.kin == nil {
+		// Drift tier: the pair's distance changes by at most the two
+		// endpoints' paths, each at most the global drift budget. The key
+		// rounds the certificate down; due holds it exactly.
+		lo = x.clock
+		key = lo
+		x.due[a][k] = x.gSum
+		if gap > 0 {
+			x.due[a][k] = x.gSum + gap/2
+			key = int64(x.due[a][k] / x.quantum)
+		}
+	} else {
+		lo = x.tick + 1
+		key = lo
+		if gap > 0 {
+			key += x.kin.safeTicks(x.metric, a, b, x.metric.Delta(pa, pb), d, x.radius, x.eps, gap, x.tick)
+		}
+	}
+	e.key = uint32(min(max(key, lo), x.clock+calLen-1))
+	return e.key
+}
+
+// drain scans every node filed under a key the clock has reached. Under
+// the drift tier the clock is gSum/quantum, and the key that was current
+// at the last drain is drained again whenever gSum grows, because a
+// certificate filed there may end anywhere inside the key.
+func (x *Index) drain() {
+	var lo, now int64
+	if x.kin != nil {
+		now = x.tick
+		lo = x.clock + 1
+	} else {
+		if x.gSum == x.drainedG {
+			return
+		}
+		x.drainedG = x.gSum
+		now = int64(x.gSum / x.quantum)
+		lo = x.clock
+	}
+	hi := min(now, lo+calLen-1)
+	x.clock = now // fresh keys are filed relative to the new clock
+	for k := lo; k <= hi; k++ {
+		b := k & (calLen - 1)
+		i := x.heads[b]
+		x.heads[b] = -1
+		for i >= 0 {
+			next := x.nnext[i]
+			if int32(x.nkey[i]-uint32(now)) > 0 {
+				x.link(i)
+			} else {
+				x.scan(i, now)
+			}
+			i = next
+		}
+	}
+}
+
+// scan re-checks node i's due pairs and refiles the node under its
+// earliest key.
+func (x *Index) scan(i int32, now int64) {
+	first := uint32(x.clock + calLen - 1)
+	for k := range x.up[i] {
+		e := &x.up[i][k]
+		if int32(e.key-uint32(now)) <= 0 && (x.kin != nil || x.due[i][k] <= x.gSum) {
+			x.certify(i, k)
+		}
+		if int32(e.key-first) < 0 {
+			first = e.key
+		}
+	}
+	x.nkey[i] = first
+	x.link(i)
+}
+
+// earliest returns the earliest key in up[i], or the calendar's horizon
+// for an empty list.
+func (x *Index) earliest(i int32) uint32 {
+	first := uint32(x.clock + calLen - 1)
+	for _, e := range x.up[i] {
+		if int32(e.key-first) < 0 {
+			first = e.key
+		}
+	}
+	return first
+}
+
+// fileNode files node i under key.
+func (x *Index) fileNode(i int32, key uint32) {
+	x.nkey[i] = key
+	x.link(i)
+}
+
+// refile moves node i to key.
+func (x *Index) refile(i int32, key uint32) {
+	x.unlink(i)
+	x.fileNode(i, key)
+}
+
+// lower refiles node i under key if that is earlier than its own.
+func (x *Index) lower(i int32, key uint32) {
+	if int32(key-x.nkey[i]) < 0 {
+		x.refile(i, key)
+	}
+}
+
+// link files node i in the calendar list of nkey[i].
+func (x *Index) link(i int32) {
+	b := x.nkey[i] & (calLen - 1)
+	h := x.heads[b]
+	x.nprev[i], x.nnext[i] = -1, h
+	if h >= 0 {
+		x.nprev[h] = i
+	}
+	x.heads[b] = i
+}
+
+// unlink takes node i out of its calendar list.
+func (x *Index) unlink(i int32) {
+	p, nx := x.nprev[i], x.nnext[i]
+	if p >= 0 {
+		x.nnext[p] = nx
+	} else {
+		x.heads[x.nkey[i]&(calLen-1)] = nx
+	}
+	if nx >= 0 {
+		x.nprev[nx] = p
+	}
+}
+
+// countRow counts row i once per Begin in RequeriedRows.
+func (x *Index) countRow(i int32) {
+	if x.rowSeen[i] != x.stats.Ticks {
+		x.rowSeen[i] = x.stats.Ticks
+		x.stats.RequeriedRows++
+	}
+}
+
+// flip records that the pair (a, b) changed its link state to linked.
+func (x *Index) flip(a, b int32, linked bool) {
+	k := uint64(a)<<33 | uint64(b)<<1
+	if linked {
+		k |= 1
+	}
+	x.flipKeys = append(x.flipKeys, k)
+}
+
+// sortFlips turns the tick's flip keys into x.flips in ascending (A, B)
+// order. A pair flips at most once per Begin: positions are fixed while
+// it runs, so re-checking a pair is idempotent, and a pair dropped from
+// a window is never tracked again within the same Begin (its cells stay
+// apart), so the keys are distinct.
+func (x *Index) sortFlips() {
+	keys := x.flipKeys
+	if n := len(x.pos); len(keys) < 64 || len(keys) < n/8 {
+		slices.Sort(keys)
+	} else {
+		// Bucket by A in O(N + flips), then insertion-sort: the only
+		// inversions left are within one A's few flips.
+		cnt := x.byA
+		clear(cnt)
+		for _, k := range keys {
+			cnt[k>>33+1]++
+		}
+		for a := 0; a < n; a++ {
+			cnt[a+1] += cnt[a]
+		}
+		out := append(x.keysTmp[:0], keys...)
+		for _, k := range keys {
+			out[cnt[k>>33]] = k
+			cnt[k>>33]++
+		}
+		for i := 1; i < len(out); i++ {
+			for k, j := out[i], i; j > 0 && out[j-1] > k; j-- {
+				out[j], out[j-1] = out[j-1], k
+			}
+		}
+		x.keysTmp, keys = keys, out
+		x.flipKeys = keys
+	}
+	x.flips = slices.Grow(x.flips, len(keys))
+	for _, k := range keys {
+		x.flips = append(x.flips, Flip{A: int32(k >> 33), B: int32(k>>1) & math.MaxInt32, Up: k&1 == 1})
+	}
+}
+
+// safeTicks is the number of ticks after tick during which a pair with
+// displacement delta (a − b) at distance d, gap beyond the eps band
+// [r−eps, r+eps], provably keeps its link state: the later of the
+// speed-bound certificate and the first entry into the band under the
+// closed-form kinematics, within the velocity hold and, on the torus,
+// before the minimum image can flip. Entering the band means reaching
+// r+eps from outside or r−eps from inside, whichever side the pair is
+// on. One tick of slack is surrendered to the floating-point drift
+// between iterated and extrapolated positions, as the event core's
+// predictor does.
+func (k *kinematics) safeTicks(m geom.Metric, a, b int32, delta geom.Vec2, d, r, eps, gap float64, tick int64) int64 {
+	best := k.toTicks(gap / (2 * k.vmax))
+	if k.filled != tick {
+		k.exact = k.model.FillKinematics(k.pop, k.vel, k.hold)
+		k.filled = tick
+	}
+	if !k.exact {
+		return best
+	}
+	w := k.vel[a].Sub(k.vel[b])
+	window := min(k.hold[a], k.hold[b], calLen*k.dt)
+	if m.Kind() == geom.MetricTorus {
+		window = min(window, flipTime(delta, w, m.Side()))
+	}
+	if k.toTicks(window) <= best {
+		return best // the closed form cannot certify longer
+	}
+	edge := r + eps
+	if d < r {
+		edge = r - eps
+	}
+	tc := window
+	if t, ok := mobility.NextCrossing(delta, w, edge, window); ok && t < tc {
+		tc = t
+	}
+	return max(best, k.toTicks(tc))
+}
+
+// toTicks converts a continuous safe time into whole certified ticks:
+// every tick k with k·dt strictly before t is safe, less one tick of
+// slack.
+func (k *kinematics) toTicks(t float64) int64 {
+	ft := t * k.invDt * (1 - 1e-9)
+	if ft >= calLen {
+		return calLen
+	}
+	return max(int64(ft)-1, 0)
+}
+
+// flipTime returns the earliest time any component of the minimum-image
+// delta (|component| ≤ side/2 now) can reach ±side/2 at relative
+// velocity w.
+func flipTime(delta, w geom.Vec2, side float64) float64 {
+	t := math.Inf(1)
+	if w.X != 0 {
+		t = min(t, (side/2-math.Abs(delta.X))/math.Abs(w.X))
+	}
+	if w.Y != 0 {
+		t = min(t, (side/2-math.Abs(delta.Y))/math.Abs(w.Y))
+	}
+	return max(t, 0)
 }
 
 // sortCutoff is the row length up to which sortRow keeps insertion
@@ -575,7 +1035,7 @@ const sortCutoff = 16
 // stack bitmap; wider rows fall back to slices.Sort.
 const sortSpanWords = 64
 
-// sortRow sorts a rebuilt skin list ascending in place. Ids are
+// sortRow sorts a node's linked partners ascending in place. Ids are
 // distinct, so a long list whose id span fits sortSpanWords words is
 // sorted by setting one bit per id and reading the bits back in order:
 // O(d + span/64), about 5× faster than slices.Sort at d ≈ 113.
