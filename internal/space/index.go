@@ -96,15 +96,14 @@ type Index struct {
 	// non-teleport step. It bounds every node's path between Begins.
 	gSum float64
 
-	// up[i] holds the pairs (i, j), j > i; lo[i] the partners j < i
-	// whose lists hold (j, i); both unordered. Under the drift
+	// up[i] holds the pairs (i, j), j > i, unordered; a node's pairs
+	// with lower partners sit in those partners' lists. Under the drift
 	// tier, due[i][k] is the gSum up to which up[i][k]'s certificate
 	// holds.
 	up      [][]entry
 	due     [][]float64
-	lo      [][]int32
 	mark    []uint32 // rewindow scratch: per-node stamps
-	ndoomed []int32  // per node: its pairs listed in doomed
+	ndoomed []int32  // per node: its pairs marked doomed this Begin
 	stamp   uint32
 	rowSeen []int64 // Ticks stamp of the rows counted this Begin
 
@@ -129,7 +128,8 @@ type Index struct {
 	keysTmp  []uint64 // sortFlips scratch
 	byA      []int32  // sortFlips scratch: per-node counts, len N+1
 	telep    []int32  // scratch: this tick's teleporters
-	doomed   []uint64 // scratch: a<<32 | b of pairs a move may have taken out of window
+	teleFrom []int32  // scratch: their cells before the move
+	doomed   []int32  // scratch: the nodes with pairs a move may have taken out of window
 	entrants []int32  // scratch: a teleporter's new window entrants
 	win      []int32  // scratch: window cells
 
@@ -170,7 +170,7 @@ type kinematics struct {
 // the cells: indexSpan cells span radius·(1+indexBeta). With indexSpan
 // it trades cell changes (each scans the cells its window gained and
 // lost) against window size (every tracked pair is re-certified at least
-// once per velocity hold, and costs 12 bytes). On Figures 1–3 (2-CPU
+// once per velocity hold, and costs 8 bytes). On Figures 1–3 (2-CPU
 // host, one pass ≈ 2.0–2.4 s), spans 3 and 4 with indexBeta 0, 0.15 and
 // 0.3 all ran within the host's ±5% noise of each other, while tracked
 // pairs per link ranged from 1.5 to 2.7; span 4 at 0.15 tracks 1.8.
@@ -224,7 +224,6 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 		bucket:   make([][]int32, cells*cells),
 		up:       make([][]entry, n),
 		due:      make([][]float64, n),
-		lo:       make([][]int32, n),
 		mark:     make([]uint32, n),
 		ndoomed:  make([]int32, n),
 		rowSeen:  make([]int64, n),
@@ -419,24 +418,27 @@ func (x *Index) Begin(tick int64) []Flip {
 	// Teleporters move after everyone else and all at once, so each
 	// rewindow sees every other node where it ends the tick: a pair of
 	// teleporters is then re-checked, never dropped and re-added.
+	x.teleFrom = x.teleFrom[:0]
 	for _, j := range x.telep {
+		x.teleFrom = append(x.teleFrom, x.cellOf[j])
 		x.moveBucket(j, x.cellOf[j], int32(x.cellIndex(x.pos[j])))
 	}
-	for _, j := range x.telep {
-		x.rewindow(j)
+	for k, j := range x.telep {
+		x.rewindow(j, x.teleFrom[k])
 	}
-	for _, ab := range x.doomed {
-		a, b := int32(ab>>32), int32(uint32(ab))
-		x.ndoomed[a]--
-		x.ndoomed[b]--
-		k, ok := x.find(a, b)
-		if !ok || x.up[a][k].j&doomedBit == 0 {
-			continue // dropped by a rewindow
+	for _, a := range x.doomed {
+		for k := 0; k < len(x.up[a]); {
+			e := &x.up[a][k]
+			if e.j&doomedBit != 0 {
+				e.j &^= doomedBit
+				if !x.near(x.xy[a], x.xy[e.j&idMask]) {
+					x.drop(a, k) // swap-removes entry k
+					continue
+				}
+			}
+			k++
 		}
-		x.up[a][k].j &^= doomedBit
-		if !x.near(x.xy[a], x.xy[b]) {
-			x.drop(a, k)
-		}
+		x.ndoomed[a] = 0
 	}
 	x.doomed = x.doomed[:0]
 	x.drain()
@@ -457,7 +459,6 @@ func (x *Index) build() {
 	}
 	n := len(x.pos)
 	var row []entry
-	loLen := make([]int32, n)
 	for i := 0; i < n; i++ {
 		row = row[:0]
 		x.win = x.window(x.cellOf[i], x.win[:0])
@@ -465,7 +466,6 @@ func (x *Index) build() {
 			for _, j := range x.bucket[c] {
 				if j > int32(i) {
 					row = append(row, entry{j: uint32(j)})
-					loLen[j]++
 				}
 			}
 		}
@@ -474,13 +474,9 @@ func (x *Index) build() {
 			x.due[i] = make([]float64, len(row), grown(len(row)))
 		}
 	}
-	for i := 0; i < n; i++ {
-		x.lo[i] = make([]int32, 0, grown(int(loLen[i])))
-	}
 	links := 0
 	for i := 0; i < n; i++ {
-		for k, e := range x.up[i] {
-			x.lo[e.j] = append(x.lo[e.j], int32(i))
+		for k := range x.up[i] {
 			x.certify(int32(i), k)
 		}
 		x.fileNode(int32(i), x.earliest(int32(i)))
@@ -624,9 +620,10 @@ func (x *Index) shift(i, c int32) {
 			a, b := min(i, j), max(i, j)
 			if k, ok := x.find(a, b); ok && x.up[a][k].j&doomedBit == 0 {
 				x.up[a][k].j |= doomedBit
-				x.doomed = append(x.doomed, uint64(a)<<32|uint64(b))
+				if x.ndoomed[a] == 0 {
+					x.doomed = append(x.doomed, a)
+				}
 				x.ndoomed[a]++
-				x.ndoomed[b]++
 			}
 		}
 	}
@@ -639,12 +636,16 @@ func (x *Index) shift(i, c int32) {
 	x.stats.WindowScans++
 }
 
-// rewindow re-checks teleporter t at its new cell: every certificate
-// involving t is void, so its surviving pairs are re-evaluated, pairs
-// whose partner is no longer near are dropped, and new window entrants
-// are tracked.
-func (x *Index) rewindow(t int32) {
-	// A fresh even stamp marks t's partners; st+1 marks those still near.
+// rewindow re-checks teleporter t, moved from cell from: every
+// certificate involving t is void, so its surviving pairs are
+// re-evaluated, pairs whose partner is no longer near are dropped, and
+// new window entrants are tracked. t's pairs with higher partners are in
+// its own list; a pair (j, t) with a lower partner j, in j's list, has j
+// in a cell near t's new cell or near from — or was marked doomed by j's
+// own move and is settled at the end of Begin.
+func (x *Index) rewindow(t, from int32) {
+	// A fresh even stamp marks t's higher partners; st+1 marks those
+	// still near.
 	x.stamp += 2
 	if x.stamp < 2 {
 		clear(x.mark)
@@ -654,17 +655,20 @@ func (x *Index) rewindow(t int32) {
 	for _, e := range x.up[t] {
 		x.mark[e.j&idMask] = st
 	}
-	for _, j := range x.lo[t] {
-		x.mark[j] = st
-	}
 	x.entrants = x.entrants[:0]
 	x.win = x.window(x.cellOf[t], x.win[:0])
 	for _, w := range x.win {
 		for _, j := range x.bucket[w] {
 			switch {
 			case j == t:
-			case x.mark[j] == st:
+			case j > t && x.mark[j] == st:
 				x.mark[j] = st + 1
+			case j < t:
+				if k, ok := x.find(j, t); ok {
+					x.lower(j, x.certify(j, k))
+					continue
+				}
+				fallthrough
 			default:
 				x.entrants = append(x.entrants, j)
 			}
@@ -672,22 +676,24 @@ func (x *Index) rewindow(t int32) {
 	}
 	for k := 0; k < len(x.up[t]); {
 		if x.mark[x.up[t][k].j&idMask] == st {
-			x.drop(t, k)
+			x.drop(t, k) // swap-removes entry k
 			continue
 		}
 		x.certify(t, k)
 		k++
 	}
 	x.refile(t, x.earliest(t))
-	for k := 0; k < len(x.lo[t]); {
-		j := x.lo[t][k]
-		at, _ := x.find(j, t)
-		if x.mark[j] == st {
-			x.drop(j, at) // removes lo[t][k]
-			continue
+	txy := x.xy[t]
+	x.win = x.window(from, x.win[:0])
+	for _, w := range x.win {
+		for _, j := range x.bucket[w] {
+			if j >= t || x.near(txy, x.xy[j]) {
+				continue
+			}
+			if k, ok := x.find(j, t); ok {
+				x.drop(j, k)
+			}
 		}
-		x.lower(j, x.certify(j, at))
-		k++
 	}
 	for _, j := range x.entrants {
 		x.track(min(t, j), max(t, j))
@@ -697,12 +703,12 @@ func (x *Index) rewindow(t int32) {
 
 // add starts tracking the pair (i, j), unless it already is, and
 // certifies it. Outside a rewindow, a pair between a node and the
-// cells its window gained exists only if a move listed it earlier in
-// the same Begin, so the search runs only while both nodes have listed
-// pairs.
+// cells its window gained exists only if a move marked it doomed
+// earlier in the same Begin, so the search runs only when the lower
+// node has doomed pairs.
 func (x *Index) add(i, j int32) {
 	a, b := min(i, j), max(i, j)
-	if x.ndoomed[a] > 0 && x.ndoomed[b] > 0 {
+	if x.ndoomed[a] > 0 {
 		if _, ok := x.find(a, b); ok {
 			return
 		}
@@ -716,7 +722,6 @@ func (x *Index) track(a, b int32) {
 	if x.kin == nil {
 		x.due[a] = grow(x.due[a], 0)
 	}
-	x.lo[b] = grow(x.lo[b], a)
 	x.lower(a, x.certify(a, len(x.up[a])-1))
 }
 
@@ -734,7 +739,6 @@ func (x *Index) drop(a int32, k int) {
 	if x.kin == nil {
 		x.due[a] = swapRemove(x.due[a], k)
 	}
-	x.lo[b] = swapRemove(x.lo[b], slices.Index(x.lo[b], a))
 }
 
 // find returns the position of partner b in up[a] and whether it is
@@ -769,8 +773,9 @@ func swapRemove[T any](l []T, k int) []T {
 func (x *Index) certify(a int32, k int) uint32 {
 	e := &x.up[a][k]
 	b := int32(e.j & idMask)
-	pa, pb := x.pos[a], x.pos[b]
-	d2 := x.metric.Dist2(pa, pb)
+	// Delta's squared norm is Metric.Dist2, computed the same way.
+	delta := x.metric.Delta(x.pos[a], x.pos[b])
+	d2 := delta.Norm2()
 	if linked := d2 <= x.r2; linked != (e.j&linkedBit != 0) {
 		e.j ^= linkedBit
 		x.flip(a, b, linked)
@@ -794,7 +799,7 @@ func (x *Index) certify(a int32, k int) uint32 {
 		lo = x.tick + 1
 		key = lo
 		if gap > 0 {
-			key += x.kin.safeTicks(x.metric, a, b, x.metric.Delta(pa, pb), d, x.radius, x.eps, gap, x.tick)
+			key += x.kin.safeTicks(x.metric, a, b, delta, d, x.radius, x.eps, gap, x.tick)
 		}
 	}
 	e.key = uint32(min(max(key, lo), x.clock+calLen-1))
@@ -839,14 +844,15 @@ func (x *Index) drain() {
 // scan re-checks node i's due pairs and refiles the node under its
 // earliest key.
 func (x *Index) scan(i int32, now int64) {
-	first := uint32(x.clock + calLen - 1)
-	for k := range x.up[i] {
-		e := &x.up[i][k]
-		if int32(e.key-uint32(now)) <= 0 && (x.kin != nil || x.due[i][k] <= x.gSum) {
-			x.certify(i, k)
+	first, n32 := uint32(x.clock+calLen-1), uint32(now)
+	drift := x.kin == nil
+	for k, e := range x.up[i] {
+		key := e.key
+		if int32(key-n32) <= 0 && (!drift || x.due[i][k] <= x.gSum) {
+			key = x.certify(i, k)
 		}
-		if int32(e.key-first) < 0 {
-			first = e.key
+		if int32(key-first) < 0 {
+			first = key
 		}
 	}
 	x.nkey[i] = first
