@@ -129,6 +129,7 @@ type Index struct {
 	byA      []int32  // sortFlips scratch: per-node counts, len N+1
 	telep    []int32  // scratch: this tick's teleporters
 	teleFrom []int32  // scratch: their cells before the move
+	teleAt   []int64  // per node: the Ticks stamp of its last teleport
 	doomed   []int32  // scratch: the nodes with pairs a move may have taken out of window
 	entrants []int32  // scratch: a teleporter's new window entrants
 	win      []int32  // scratch: window cells
@@ -147,7 +148,7 @@ type entry struct {
 
 const (
 	linkedBit = 1 << 31 // the pair is within the radius
-	doomedBit = 1 << 30 // listed for the window check at the end of the moves
+	doomedBit = 1 << 30 // a move took the pair out of window; settled at the end of Begin
 	idMask    = doomedBit - 1
 )
 
@@ -227,6 +228,7 @@ func NewIndex(metric geom.Metric, radius float64, pos []geom.Vec2) (*Index, erro
 		mark:     make([]uint32, n),
 		ndoomed:  make([]int32, n),
 		rowSeen:  make([]int64, n),
+		teleAt:   make([]int64, n),
 		heads:    make([]int32, calLen),
 		nkey:     make([]uint32, n),
 		nprev:    make([]int32, n),
@@ -400,6 +402,7 @@ func (x *Index) Begin(tick int64) []Flip {
 			// A teleport: excluded from the drift budget, moved and
 			// re-checked below.
 			x.telep = append(x.telep, int32(i))
+			x.teleAt[i] = x.stats.Ticks
 			continue
 		}
 		maxStep = max(maxStep, d)
@@ -603,13 +606,13 @@ func (x *Index) offset(d int) int {
 	return d
 }
 
-// shift moves node i (not a teleporter) into cell c. Pairs with the
-// nodes of the cells its window lost are listed, not dropped: the
+// shift moves node i (not a teleporter) into cell c. Its pairs with the
+// nodes of the cells its window lost are marked doomed, not dropped: the
 // partner may still move back into the window this Begin, and a drop
 // followed by a re-add would report a pair that stayed linked as two
-// flips. Begin drops the listed pairs still apart once every node has
+// flips. Begin drops the doomed pairs still apart once every node has
 // moved. The nodes of the cells it gained are tracked and certified,
-// unless already paired (a listed pair coming back). Surviving pairs
+// unless already paired (a doomed pair coming back). Surviving pairs
 // keep their certificates.
 func (x *Index) shift(i, c int32) {
 	old := x.cellOf[i]
@@ -656,6 +659,7 @@ func (x *Index) rewindow(t, from int32) {
 		x.mark[e.j&idMask] = st
 	}
 	x.entrants = x.entrants[:0]
+	fxy := x.coords(from)
 	x.win = x.window(x.cellOf[t], x.win[:0])
 	for _, w := range x.win {
 		for _, j := range x.bucket[w] {
@@ -663,7 +667,7 @@ func (x *Index) rewindow(t, from int32) {
 			case j == t:
 			case j > t && x.mark[j] == st:
 				x.mark[j] = st + 1
-			case j < t:
+			case j < t && x.mayPair(j, fxy):
 				if k, ok := x.find(j, t); ok {
 					x.lower(j, x.certify(j, k))
 					continue
@@ -685,6 +689,7 @@ func (x *Index) rewindow(t, from int32) {
 	x.refile(t, x.earliest(t))
 	txy := x.xy[t]
 	x.win = x.window(from, x.win[:0])
+	// Every candidate here is near from, so it may pair with t.
 	for _, w := range x.win {
 		for _, j := range x.bucket[w] {
 			if j >= t || x.near(txy, x.xy[j]) {
@@ -699,6 +704,15 @@ func (x *Index) rewindow(t, from int32) {
 		x.track(min(t, j), max(t, j))
 	}
 	x.stats.WindowScans++
+}
+
+// mayPair reports whether node j may hold a pair with a teleporter that
+// left the cell at fxy: j's cell is near that cell (every pair was near
+// when Begin started, and a move keeps a pair near or marks it doomed),
+// j has doomed pairs, or j teleported too (another rewindow may have
+// paired them).
+func (x *Index) mayPair(j int32, fxy uint32) bool {
+	return x.near(x.xy[j], fxy) || x.ndoomed[j] > 0 || x.teleAt[j] == x.stats.Ticks
 }
 
 // add starts tracking the pair (i, j), unless it already is, and
