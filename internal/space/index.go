@@ -102,7 +102,7 @@ type Index struct {
 	// holds.
 	up      [][]entry
 	due     [][]float64
-	mark    []uint32 // rewindow scratch: per-node stamps
+	mark    []uint32 // shift and rewindow scratch: per-node stamps
 	ndoomed []int32  // per node: its pairs marked doomed this Begin
 	stamp   uint32
 	rowSeen []int64 // Ticks stamp of the rows counted this Begin
@@ -617,26 +617,59 @@ func (x *Index) offset(d int) int {
 func (x *Index) shift(i, c int32) {
 	old := x.cellOf[i]
 	x.moveBucket(i, old, c)
+	// Stamp st marks the higher nodes of the lost cells, st+1 every
+	// partner in i's own list; pairs with lower nodes sit in their lists.
+	st := x.freshStamp()
 	x.win = x.strip(old, c, x.win[:0])
 	for _, w := range x.win {
 		for _, j := range x.bucket[w] {
-			a, b := min(i, j), max(i, j)
-			if k, ok := x.find(a, b); ok && x.up[a][k].j&doomedBit == 0 {
-				x.up[a][k].j |= doomedBit
-				if x.ndoomed[a] == 0 {
-					x.doomed = append(x.doomed, a)
-				}
-				x.ndoomed[a]++
+			if j > i {
+				x.mark[j] = st
+			} else if k, ok := x.find(j, i); ok {
+				x.doom(j, k)
 			}
 		}
+	}
+	for k := range x.up[i] {
+		p := x.up[i][k].j & idMask
+		if x.mark[p] == st {
+			x.doom(i, k)
+		}
+		x.mark[p] = st + 1
 	}
 	x.win = x.strip(c, old, x.win[:0])
 	for _, w := range x.win {
 		for _, j := range x.bucket[w] {
-			x.add(i, j)
+			if j < i {
+				x.add(j, i)
+			} else if x.mark[j] != st+1 {
+				x.track(i, j)
+			}
 		}
 	}
 	x.stats.WindowScans++
+}
+
+// doom marks the pair up[a][k] as possibly out of window, once.
+func (x *Index) doom(a int32, k int) {
+	if e := &x.up[a][k]; e.j&doomedBit == 0 {
+		e.j |= doomedBit
+		if x.ndoomed[a] == 0 {
+			x.doomed = append(x.doomed, a)
+		}
+		x.ndoomed[a]++
+	}
+}
+
+// freshStamp returns an even mark stamp no node carries yet; the odd
+// stamp after it is free too.
+func (x *Index) freshStamp() uint32 {
+	x.stamp += 2
+	if x.stamp < 2 {
+		clear(x.mark)
+		x.stamp = 2
+	}
+	return x.stamp
 }
 
 // rewindow re-checks teleporter t, moved from cell from: every
@@ -647,14 +680,8 @@ func (x *Index) shift(i, c int32) {
 // in a cell near t's new cell or near from — or was marked doomed by j's
 // own move and is settled at the end of Begin.
 func (x *Index) rewindow(t, from int32) {
-	// A fresh even stamp marks t's higher partners; st+1 marks those
-	// still near.
-	x.stamp += 2
-	if x.stamp < 2 {
-		clear(x.mark)
-		x.stamp = 2
-	}
-	st := x.stamp
+	// Stamp st marks t's higher partners, st+1 those still near.
+	st := x.freshStamp()
 	for _, e := range x.up[t] {
 		x.mark[e.j&idMask] = st
 	}
@@ -715,13 +742,11 @@ func (x *Index) mayPair(j int32, fxy uint32) bool {
 	return x.near(x.xy[j], fxy) || x.ndoomed[j] > 0 || x.teleAt[j] == x.stats.Ticks
 }
 
-// add starts tracking the pair (i, j), unless it already is, and
-// certifies it. Outside a rewindow, a pair between a node and the
-// cells its window gained exists only if a move marked it doomed
-// earlier in the same Begin, so the search runs only when the lower
-// node has doomed pairs.
-func (x *Index) add(i, j int32) {
-	a, b := min(i, j), max(i, j)
+// add starts tracking the pair (a, b), a < b, unless it already is, and
+// certifies it. A pair between a node and the cells its window gained
+// exists only if a move marked it doomed earlier in the same Begin, so
+// the search runs only when a has doomed pairs.
+func (x *Index) add(a, b int32) {
 	if x.ndoomed[a] > 0 {
 		if _, ok := x.find(a, b); ok {
 			return
