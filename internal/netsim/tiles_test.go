@@ -117,15 +117,15 @@ func TestTilesByteIdentical(t *testing.T) {
 }
 
 // TestStationaryFastPathSkipsRebuild is the engine-level regression for
-// the zero-motion fast path: on a static model the index must flag
-// nothing after the initial build, so the per-tick topology work drops
-// to the O(N) drift-budget pass — no row requeries at all.
+// the zero-motion fast path: on a static model the index must report
+// no flips after the initial build, so the per-tick topology work drops
+// to the O(N) step pass — no row changes and no pair checks at all.
 func TestStationaryFastPathSkipsRebuild(t *testing.T) {
 	s, err := New(Config{N: 80, Side: 10, Range: 2, Dt: 0.1, Seed: 7, Tiles: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := s.IndexStats().RequeriedRows
+	base, checks := s.IndexStats().RequeriedRows, s.IndexStats().PairChecks
 	if base != 80 {
 		t.Fatalf("initial build requeried %d rows, want 80", base)
 	}
@@ -136,6 +136,9 @@ func TestStationaryFastPathSkipsRebuild(t *testing.T) {
 	}
 	if got := s.IndexStats().RequeriedRows; got != base {
 		t.Errorf("static run requeried %d additional rows, want 0", got-base)
+	}
+	if got := s.IndexStats().PairChecks; got != checks {
+		t.Errorf("static run checked %d additional pairs, want 0", got-checks)
 	}
 	if ta := s.Tallies(); ta.LinkGen != 0 || ta.LinkBrk != 0 {
 		t.Errorf("static run produced link events: %+v", ta)

@@ -287,13 +287,13 @@ func TestIndexStationaryZeroRequeries(t *testing.T) {
 	}
 }
 
-// TestIndexTeleportPatch pins three pieces of the skin invariant that
+// TestIndexTeleportPatch pins three pieces of the window invariant that
 // a random walk exercises only by chance, each on a hand-built layout
-// (square 10×10, radius 1.5, skin width s = marginCap):
+// (square 10×10, radius 1.5):
 //
-//   - teleport-in: a node jumps next to a stationary node whose skin
-//     does not hold it; the pair is only found if the teleporter's skin
-//     is rebuilt at its new position;
+//   - teleport-in: a node jumps next to a stationary node whose window
+//     does not hold it; the pair is only found if the teleporter's
+//     window is rebuilt at its new position;
 //   - teleport-out: a node jumps away from a stationary neighbor whose
 //     pair certificate is long; the link only breaks if the teleporter's
 //     pairs are re-checked;
